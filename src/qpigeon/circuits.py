@@ -10,16 +10,18 @@ Two builders mirror the experiment:
 
 Readout keys are bitstrings over the classical register with the highest
 classical bit leftmost; classical bits never written by a measurement read 0.
-Sampling is reproducible: a counter-based 64-bit Philox generator drives an
-inverse-CDF draw over the sorted outcome table, so equal inputs give
-byte-identical histograms on any platform.
+Sampling is reproducible: counter-based 64-bit Philox streams keyed by the
+seed drive an inverse-CDF draw over the sorted outcome table, so equal inputs
+give byte-identical histograms on any platform.  Shots are drawn in chunks of
+CHUNK; each uniform is mapped to its outcome through a guide table (Chen and
+Asau, 1974) instead of a binary search, and memory stays O(CHUNK) however
+many shots are asked for.
 """
 
 import json
 import math
-import re
-import tempfile
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +35,9 @@ ALL_SAME_ANCILLA_CBITS = (3, 4)
 # outcomes below this probability are left out of the distribution map, so
 # zero-probability bitstrings (exact zeros up to roundoff) never get a key
 _PROB_FLOOR = 1e-14
+
+# shots drawn per pass of the sampler; it bounds sample_shots' working memory
+CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -174,15 +179,42 @@ def simulate_ideal(circuit: Circuit) -> dict[str, float]:
     return dict(sorted(out.items()))
 
 
+def _guide_table(cdf: np.ndarray) -> np.ndarray:
+    """``searchsorted(cdf, g / G, "right")`` for g < G, G a power of two >= 4 * len(cdf)."""
+    size = 1 << (4 * len(cdf) - 1).bit_length()
+    return np.searchsorted(cdf, np.arange(size) / size, side="right")
+
+
+def _draw_outcomes(cdf: np.ndarray, guide: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Exactly ``searchsorted(cdf, uniforms, "right")``, through the guide table (Chen and Asau, 1974).
+
+    With G = len(guide) a power of two, ``u * G`` and ``g / G`` are exact, so
+    ``guide[floor(u * G)]`` never lies past the answer for u; a walk over the
+    few cdf entries left in that bucket finishes the search, moving only the
+    uniforms not yet placed.  cdf[-1] is 1.0 and every uniform is below it,
+    so the walk stops inside the table.
+    """
+    picks = guide[(uniforms * len(guide)).astype(np.intp)]
+    moving = np.flatnonzero(cdf[picks] <= uniforms)
+    while moving.size:
+        picks[moving] += 1
+        moving = moving[cdf[picks[moving]] <= uniforms[moving]]
+    return picks
+
+
 def sample_shots(circuit: Circuit, shots: int, seed: int, noise: NoiseModel | None = None) -> ShotHistogram:
     """Draw ``shots`` outcomes reproducibly and return their histogram.
 
-    The draw is inverse-CDF over the sorted ideal distribution, driven by a
-    Philox counter-based generator keyed with ``seed``: first one uniform
-    per shot selects outcomes, then (only if ``noise`` is given) one uniform
-    per shot and measured bit decides readout flips, in ascending classical
-    bit order.  Same (circuit, shots, seed, noise) gives a byte-identical
-    histogram everywhere.
+    The draw is inverse-CDF over the sorted ideal distribution, driven by
+    Philox counter-based generators keyed with ``seed``.  The outcome stream
+    gives one uniform per shot; the readout stream (used only if ``noise``
+    is given) continues where ``shots`` outcome uniforms end and gives one
+    uniform per shot and measured bit, in ascending classical bit order,
+    each below the flip probability flipping its bit.  Both streams are
+    consumed in chunks of CHUNK shots: each uniform finds its outcome by a
+    guide-table lookup, and each chunk's counts join one running tally, so
+    memory is O(CHUNK) plus the observed support.  Same (circuit, shots,
+    seed, noise) gives a byte-identical histogram everywhere.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -193,19 +225,30 @@ def sample_shots(circuit: Circuit, shots: int, seed: int, noise: NoiseModel | No
     weights = np.array([probs[k] for k in keys], dtype=float)
     cdf = np.cumsum(weights / weights.sum())
     cdf[-1] = 1.0
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    picks = np.searchsorted(cdf, rng.random(shots), side="right")
-    if noise is None:
-        values, tallies = np.unique(picks, return_counts=True)
-        counts = {keys[int(v)]: int(t) for v, t in zip(values, tallies)}
-    else:
+    guide = _guide_table(cdf)
+    outcomes = np.random.Generator(np.random.Philox(key=seed))
+    if noise is not None:
         measured_cbits = sorted(g.cbit for g in circuit.gates if g.kind == MEASURE)
-        flips = rng.random((shots, len(measured_cbits))) < noise.readout_flip_prob
-        codes = np.array([int(k, 2) for k in keys], dtype=np.uint64)[picks]
-        for column, cbit in enumerate(measured_cbits):
-            codes = codes ^ (flips[:, column].astype(np.uint64) << np.uint64(cbit))
-        values, tallies = np.unique(codes, return_counts=True)
-        counts = {format(int(v), f"0{circuit.n_cbits}b"): int(t) for v, t in zip(values, tallies)}
+        bit_values = np.array([1 << cbit for cbit in measured_cbits], dtype=np.uint64)
+        key_codes = np.array([int(k, 2) for k in keys], dtype=np.uint64)
+        # Philox yields four doubles per counter step: skip the outcome draws
+        flips = np.random.Generator(np.random.Philox(key=seed))
+        flips.bit_generator.advance(shots // 4)
+        flips.random(shots % 4)
+    tally: dict[int, int] = {}
+    for start in range(0, shots, CHUNK):
+        size = min(CHUNK, shots - start)
+        drawn = _draw_outcomes(cdf, guide, outcomes.random(size))
+        if noise is not None:
+            flipped = flips.random((size, len(measured_cbits))) < noise.readout_flip_prob
+            drawn = key_codes[drawn] ^ (flipped @ bit_values)
+        values, tallies = np.unique(drawn, return_counts=True)
+        for value, count in zip(values.tolist(), tallies.tolist()):
+            tally[value] = tally.get(value, 0) + count
+    if noise is None:
+        counts = {keys[v]: t for v, t in tally.items()}
+    else:
+        counts = {format(v, f"0{circuit.n_cbits}b"): t for v, t in tally.items()}
     return ShotHistogram(counts=dict(sorted(counts.items())), shots=shots, seed=seed, noise=noise)
 
 
@@ -391,12 +434,19 @@ def _sig12(x: float) -> float:
 
 
 def write_text_atomic(path: str, text: str) -> None:
-    """Write text to ``path`` via a same-directory temp file and atomic rename."""
+    """Write text to ``path`` via a same-directory temp file and atomic rename.
+
+    The file is created like ``open`` creates one, with mode 0o666 less the
+    umask, and its data reaches the disk (fsync) before the rename.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qpigeon-", suffix=".tmp")
+    tmp = os.path.join(directory, f".qpigeon-{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="") as handle:
             handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -2,9 +2,10 @@
 
 Subcommands: identities, amplitudes, simulate, sample, qasm, hiddenvars.
 Exit code 0 on success, 1 when a verification fails (for example an operator
-identity exceeding its tolerance), 2 on usage errors.  All floating-point
-output carries 12 significant digits.  ``--output`` writes through a
-temporary file and an atomic rename, so readers never see a partial file.
+identity exceeding its tolerance), 2 on usage errors and on I/O errors, which
+print a one-line ``error:`` message.  All floating-point output carries 12
+significant digits.  ``--output`` writes through a temporary file and an
+atomic rename, so readers never see a partial file.
 The default sampling seed comes from the QPIGEON_SEED environment variable
 when set, else 0.
 """
@@ -289,6 +290,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: cannot write {args.output or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
         return 2
 
 

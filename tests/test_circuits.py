@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import stat
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -277,6 +280,21 @@ def test_zero_noise_equals_no_noise():
         sample_shots(circuit, 512, seed=3).counts
 
 
+def test_sampling_memory_is_bounded():
+    # the working set is O(CHUNK) shots, so 20x the shots must not grow the peak
+    def peak_bytes(shots):
+        tracemalloc.start()
+        try:
+            sample_shots(all_same_check_circuit(), shots, 1, NoiseModel(0.02))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak_bytes(10**5), peak_bytes(2 * 10**6)
+    assert large < 16 * 2**20
+    assert abs(large - small) < 2 * 2**20
+
+
 def test_sample_validation():
     circuit = pair_check_circuit()
     with pytest.raises(ValueError):
@@ -417,6 +435,17 @@ def test_write_text_atomic(tmp_path):
     assert target.read_text() == "a,b\n1,2\n"
     write_text_atomic(str(target), "replaced\n")
     assert target.read_text() == "replaced\n"
+
+
+def test_write_text_atomic_honours_umask(tmp_path):
+    target = tmp_path / "out.csv"
+    previous = os.umask(0o022)
+    try:
+        write_text_atomic(str(target), "a,b\n")
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(target.stat().st_mode) == 0o644
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 

@@ -194,3 +194,12 @@ def test_missing_required_flag_exits_2():
     with pytest.raises(SystemExit) as err:
         cli.main(["sample", "--circuit", "pi"])
     assert err.value.code == 2
+
+
+def test_unwritable_output_exits_2_with_one_line(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code = cli.main(["sample", "--circuit", "p", "--shots", "8", "--output", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {target}: No such file or directory\n"
