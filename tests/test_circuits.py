@@ -435,6 +435,7 @@ def test_write_text_atomic(tmp_path):
     assert target.read_text() == "a,b\n1,2\n"
     write_text_atomic(str(target), "replaced\n")
     assert target.read_text() == "replaced\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 def test_write_text_atomic_honours_umask(tmp_path):
@@ -445,8 +446,6 @@ def test_write_text_atomic_honours_umask(tmp_path):
     finally:
         os.umask(previous)
     assert stat.S_IMODE(target.stat().st_mode) == 0o644
-    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
-    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 def test_histogram_keys_have_register_width():
