@@ -14,8 +14,8 @@ Sampling is reproducible: counter-based 64-bit Philox streams keyed by the
 seed drive an inverse-CDF draw over the sorted outcome table, so equal inputs
 give byte-identical histograms on any platform.  Shots are drawn in chunks of
 CHUNK; each uniform is mapped to its outcome through a guide table (Chen and
-Asau, 1974) instead of a binary search, and memory stays O(CHUNK) however
-many shots are asked for.
+Asau, 1974), with a binary search only where its bucket holds a CDF step, and
+memory stays O(CHUNK) plus the support however many shots are asked for.
 """
 
 import json
@@ -189,16 +189,13 @@ def _draw_outcomes(cdf: np.ndarray, guide: np.ndarray, uniforms: np.ndarray) -> 
     """Exactly ``searchsorted(cdf, uniforms, "right")``, through the guide table (Chen and Asau, 1974).
 
     With G = len(guide) a power of two, ``u * G`` and ``g / G`` are exact, so
-    ``guide[floor(u * G)]`` never lies past the answer for u; a walk over the
-    few cdf entries left in that bucket finishes the search, moving only the
-    uniforms not yet placed.  cdf[-1] is 1.0 and every uniform is below it,
-    so the walk stops inside the table.
+    ``guide[floor(u * G)]`` counts only cdf entries <= u and is the answer
+    unless a cdf entry lies inside u's bucket.  Those buckets hold at most
+    len(cdf) / G <= 1/4 of the probability; their uniforms get a binary search.
     """
     picks = guide[(uniforms * len(guide)).astype(np.intp)]
-    moving = np.flatnonzero(cdf[picks] <= uniforms)
-    while moving.size:
-        picks[moving] += 1
-        moving = moving[cdf[picks[moving]] <= uniforms[moving]]
+    misses = np.flatnonzero(cdf[picks] <= uniforms)
+    picks[misses] = np.searchsorted(cdf, uniforms[misses], side="right")
     return picks
 
 
@@ -212,9 +209,10 @@ def sample_shots(circuit: Circuit, shots: int, seed: int, noise: NoiseModel | No
     uniform per shot and measured bit, in ascending classical bit order,
     each below the flip probability flipping its bit.  Both streams are
     consumed in chunks of CHUNK shots: each uniform finds its outcome by a
-    guide-table lookup, and each chunk's counts join one running tally, so
-    memory is O(CHUNK) plus the observed support.  Same (circuit, shots,
-    seed, noise) gives a byte-identical histogram everywhere.
+    guide-table lookup, and each chunk's counts join one running tally (per
+    outcome without noise, per observed code with it), so memory is
+    O(CHUNK) plus the support.  Same (circuit, shots, seed, noise) gives a
+    byte-identical histogram everywhere.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -235,20 +233,27 @@ def sample_shots(circuit: Circuit, shots: int, seed: int, noise: NoiseModel | No
         flips = np.random.Generator(np.random.Philox(key=seed))
         flips.bit_generator.advance(shots // 4)
         flips.random(shots % 4)
-    tally: dict[int, int] = {}
+    # noiseless: the count of each index into keys; noisy: the sorted codes seen so far and their counts
+    tally = np.zeros(len(keys) if noise is None else 0, dtype=np.int64)
+    seen = np.zeros(0, dtype=np.uint64)
     for start in range(0, shots, CHUNK):
         size = min(CHUNK, shots - start)
         drawn = _draw_outcomes(cdf, guide, outcomes.random(size))
-        if noise is not None:
-            flipped = flips.random((size, len(measured_cbits))) < noise.readout_flip_prob
-            drawn = key_codes[drawn] ^ (flipped @ bit_values)
-        values, tallies = np.unique(drawn, return_counts=True)
-        for value, count in zip(values.tolist(), tallies.tolist()):
-            tally[value] = tally.get(value, 0) + count
+        if noise is None:
+            tally += np.bincount(drawn, minlength=len(keys))
+            continue
+        flipped = flips.random((size, len(measured_cbits))) < noise.readout_flip_prob
+        values, value_counts = np.unique(key_codes[drawn] ^ (flipped @ bit_values), return_counts=True)
+        at = np.searchsorted(seen, values)
+        known = at < len(seen)
+        known[known] = seen[at[known]] == values[known]
+        tally[at[known]] += value_counts[known]
+        seen = np.insert(seen, at[~known], values[~known])
+        tally = np.insert(tally, at[~known], value_counts[~known])
     if noise is None:
-        counts = {keys[v]: t for v, t in tally.items()}
+        counts = {keys[i]: int(tally[i]) for i in np.flatnonzero(tally)}
     else:
-        counts = {format(v, f"0{circuit.n_cbits}b"): t for v, t in tally.items()}
+        counts = {format(v, f"0{circuit.n_cbits}b"): t for v, t in zip(seen.tolist(), tally.tolist())}
     return ShotHistogram(counts=dict(sorted(counts.items())), shots=shots, seed=seed, noise=noise)
 
 

@@ -14,7 +14,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpigeon.circuits import CHUNK, Circuit, NoiseModel, sample_shots, simulate_ideal
+from qpigeon.circuits import CHUNK, Circuit, NoiseModel, _draw_outcomes, _guide_table, sample_shots, simulate_ideal
 from qpigeon.states import MEASURE, Gate
 
 
@@ -96,3 +96,35 @@ def test_noiseless_support_within_ideal_support(circuit, shots, seed):
 @given(circuits(), shot_counts, seeds)
 def test_zero_noise_equals_no_noise(circuit, shots, seed):
     assert sample_shots(circuit, shots, seed, NoiseModel(0.0)).counts == sample_shots(circuit, shots, seed).counts
+
+
+@st.composite
+def cdfs(draw):
+    """Normalised CDFs of 1-600 outcomes: skewed weights, and dyadic ones that land on bucket edges."""
+    size = draw(st.integers(1, 600))
+    if draw(st.booleans()):
+        weights = np.array(draw(st.lists(st.integers(0, 8), min_size=size, max_size=size)), dtype=float)
+        weights = 2.0 ** -weights
+    else:
+        weights = np.array(draw(st.lists(st.floats(1e-12, 1.0), min_size=size, max_size=size)))
+        weights[draw(st.integers(0, size - 1))] = 1e6
+    cdf = np.cumsum(weights / weights.sum())
+    cdf[-1] = 1.0
+    return cdf
+
+
+@settings(max_examples=60, deadline=None)
+@given(cdfs(), seeds)
+def test_guide_search_equals_binary_search(cdf, seed):
+    guide = _guide_table(cdf)
+    edges = np.arange(len(guide)) / len(guide)
+    uniforms = np.concatenate([edges, np.nextafter(edges[1:], 0.0), cdf[cdf < 1.0], np.random.default_rng(seed).random(4096)])
+    assert np.array_equal(_draw_outcomes(cdf, guide, uniforms), np.searchsorted(cdf, uniforms, side="right"))
+
+
+def test_wide_skewed_support_matches_one_shot_oracle():
+    # almost all of the weight on 0...0: 386 outcomes above the floor, up to 130 of them in one guide bucket
+    n = 10
+    circuit = Circuit(n, n, tuple([Gate.rx(q, 0.05) for q in range(n)] + [Gate.measure(q, q) for q in range(n)]))
+    for noise in (None, NoiseModel(0.01)):
+        assert sample_shots(circuit, 2 * CHUNK + 5, 7, noise).counts == one_shot_counts(circuit, 2 * CHUNK + 5, 7, noise)
