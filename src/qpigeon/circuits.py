@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import BARRIER, CX, H, MEASURE, RX, X, Gate, apply_gate, basis_state
+from .states import BARRIER, CX, H, MEASURE, RX, X, Gate, _evolve, basis_state
+from .states import apply_gate  # noqa: F401  (part of this module's namespace; callers import and patch it here)
 
 PIGEON_CBITS = (0, 1, 2)
 PAIR_CHECK_ANCILLA_CBITS = (3,)
@@ -157,26 +158,31 @@ def simulate_ideal(circuit: Circuit) -> dict[str, float]:
     """
     unitaries, qubit_to_cbit = _split_measurements(circuit)
     n = circuit.n_qubits
-    state = basis_state(n, 0)
-    for gate in unitaries:
-        state = apply_gate(state, gate)
+    state = _evolve(basis_state(n, 0), unitaries)
     probs = np.abs(state.amps) ** 2
-    measured = sorted(qubit_to_cbit)
     tensor = probs.reshape([2] * n)
     drop_axes = tuple(n - 1 - q for q in range(n) if q not in qubit_to_cbit)
     if drop_axes:
         tensor = tensor.sum(axis=drop_axes)
-    # remaining axes run over measured qubits in descending qubit order
-    out: dict[str, float] = {}
-    for bits in np.ndindex(*([2] * len(measured))):
-        p = float(tensor[bits])
-        if p <= _PROB_FLOOR:
-            continue
-        chars = ["0"] * circuit.n_cbits
-        for axis, q in enumerate(sorted(measured, reverse=True)):
-            chars[circuit.n_cbits - 1 - qubit_to_cbit[q]] = str(bits[axis])
-        out["".join(chars)] = p
-    return dict(sorted(out.items()))
+    # remaining axes run over measured qubits in descending qubit order, so
+    # bit j of a flat index is the j-th lowest measured qubit
+    marginal = tensor.reshape(-1)
+    kept = np.flatnonzero(marginal > _PROB_FLOOR)
+    # Python ints once a code can outgrow int64
+    codes = np.zeros(len(kept), dtype=np.int64 if circuit.n_cbits < 64 else object)
+    for j, q in enumerate(sorted(qubit_to_cbit)):
+        codes |= ((kept >> j) & 1).astype(codes.dtype) << qubit_to_cbit[q]
+    order = np.argsort(codes)
+    keys = _bitstrings(codes[order].tolist(), circuit.n_cbits)
+    return dict(zip(keys, marginal[kept[order]].tolist()))
+
+
+def _bitstrings(codes: list[int], width: int) -> list[str]:
+    """Classical-register keys of the codes, highest bit leftmost; a register of no bits gives ""."""
+    if width == 0:
+        return [""] * len(codes)
+    spec = f"0{width}b"
+    return [format(code, spec) for code in codes]
 
 
 def _guide_table(cdf: np.ndarray) -> np.ndarray:
@@ -228,7 +234,7 @@ def sample_shots(circuit: Circuit, shots: int, seed: int, noise: NoiseModel | No
     if noise is not None:
         measured_cbits = sorted(g.cbit for g in circuit.gates if g.kind == MEASURE)
         bit_values = np.array([1 << cbit for cbit in measured_cbits], dtype=np.uint64)
-        key_codes = np.array([int(k, 2) for k in keys], dtype=np.uint64)
+        key_codes = np.array([int(k or "0", 2) for k in keys], dtype=np.uint64)
         # Philox yields four doubles per counter step: skip the outcome draws
         flips = np.random.Generator(np.random.Philox(key=seed))
         flips.bit_generator.advance(shots // 4)
@@ -253,7 +259,7 @@ def sample_shots(circuit: Circuit, shots: int, seed: int, noise: NoiseModel | No
     if noise is None:
         counts = {keys[i]: int(tally[i]) for i in np.flatnonzero(tally)}
     else:
-        counts = {format(v, f"0{circuit.n_cbits}b"): t for v, t in zip(seen.tolist(), tally.tolist())}
+        counts = dict(zip(_bitstrings(seen.tolist(), circuit.n_cbits), tally.tolist()))
     return ShotHistogram(counts=dict(sorted(counts.items())), shots=shots, seed=seed, noise=noise)
 
 

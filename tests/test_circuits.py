@@ -295,6 +295,26 @@ def test_sampling_memory_is_bounded():
     assert abs(large - small) < 2 * 2**20
 
 
+def test_noisy_sampling_of_a_circuit_without_classical_bits():
+    circuit = Circuit(1, 0, (Gate.h(0),))
+    assert sample_shots(circuit, 10, 1).counts == {"": 10}
+    assert sample_shots(circuit, 10, 1, NoiseModel(0.1)).counts == {"": 10}
+
+
+def test_simulate_ideal_memory_is_one_work_buffer():
+    # 18 qubits is 4 MiB of amplitudes: the frozen input, one work buffer, a
+    # half-size scratch and the probabilities, not a fresh state per gate
+    gates = (Gate.h(0), Gate.rx(5, 0.7), Gate.cx(0, 17), Gate.x(3))
+    circuit = Circuit(18, 5, gates + tuple(Gate.measure(q, q) for q in range(5)))
+    tracemalloc.start()
+    try:
+        simulate_ideal(circuit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14 * 2**20
+
+
 def test_sample_validation():
     circuit = pair_check_circuit()
     with pytest.raises(ValueError):
