@@ -26,8 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import BARRIER, CX, H, MEASURE, RX, X, Gate, _evolve, basis_state
-from .states import apply_gate  # noqa: F401  (part of this module's namespace; callers import and patch it here)
+from .states import BARRIER, CX, H, MEASURE, RX, X, Gate, _evolve
+# part of this module's namespace, so callers may import it from here; patching
+# it here does not reach simulate_ideal, which runs states._evolve
+from .states import apply_gate  # noqa: F401
 
 PIGEON_CBITS = (0, 1, 2)
 PAIR_CHECK_ANCILLA_CBITS = (3,)
@@ -158,8 +160,11 @@ def simulate_ideal(circuit: Circuit) -> dict[str, float]:
     """
     unitaries, qubit_to_cbit = _split_measurements(circuit)
     n = circuit.n_qubits
-    state = _evolve(basis_state(n, 0), unitaries)
-    probs = np.abs(state.amps) ** 2
+    state = _evolve(n, unitaries)
+    # one half-size array: np.square in place gives the bits of ** 2
+    probs = np.abs(state.amps)
+    np.square(probs, out=probs)
+    del state
     tensor = probs.reshape([2] * n)
     drop_axes = tuple(n - 1 - q for q in range(n) if q not in qubit_to_cbit)
     if drop_axes:
@@ -231,17 +236,19 @@ def sample_shots(circuit: Circuit, shots: int, seed: int, noise: NoiseModel | No
     cdf[-1] = 1.0
     guide = _guide_table(cdf)
     outcomes = np.random.Generator(np.random.Philox(key=seed))
+    # Python ints once a code can outgrow uint64, as in simulate_ideal
+    code_type = np.uint64 if circuit.n_cbits < 64 else object
     if noise is not None:
         measured_cbits = sorted(g.cbit for g in circuit.gates if g.kind == MEASURE)
-        bit_values = np.array([1 << cbit for cbit in measured_cbits], dtype=np.uint64)
-        key_codes = np.array([int(k or "0", 2) for k in keys], dtype=np.uint64)
+        bit_values = np.array([1 << cbit for cbit in measured_cbits], dtype=code_type)
+        key_codes = np.array([int(k or "0", 2) for k in keys], dtype=code_type)
         # Philox yields four doubles per counter step: skip the outcome draws
         flips = np.random.Generator(np.random.Philox(key=seed))
         flips.bit_generator.advance(shots // 4)
         flips.random(shots % 4)
     # noiseless: the count of each index into keys; noisy: the sorted codes seen so far and their counts
     tally = np.zeros(len(keys) if noise is None else 0, dtype=np.int64)
-    seen = np.zeros(0, dtype=np.uint64)
+    seen = np.zeros(0, dtype=code_type)
     for start in range(0, shots, CHUNK):
         size = min(CHUNK, shots - start)
         drawn = _draw_outcomes(cdf, guide, outcomes.random(size))

@@ -8,13 +8,16 @@ and never mutates its inputs, so they are safe to share between threads.
 A run of gates (one for apply_gate, n Hadamards for plus_state, a circuit's
 unitaries for circuits.simulate_ideal) goes through one kernel and one
 mutable work buffer, after the in-place strided kernels of Haner and
-Steiger (arXiv:1704.01127): the first gate reads the input state, every
-later one rewrites the buffer in place with a half-size scratch, and the
-buffer is frozen into a StateVector once, at the end, without a copy.  A
-single-qubit gate uses the same complex products and sums as a plain numpy
-expression, so amplitudes are bit-for-bit those of gate-by-gate evaluation;
-CX is a swap of two blocks of a reshaped view.  The full 2^n x 2^n matrix
-of a gate is never materialised here.
+Steiger (arXiv:1704.01127): the first gate reads the input state (a run
+from |0...0> writes it into the buffer instead), every later one rewrites
+the buffer in place with a fixed scratch of 2 * _PASS_PAIRS amplitudes,
+and the buffer is frozen into a StateVector once, at the end, without a
+copy.  A single-qubit gate uses the same complex products and sums as a
+plain numpy expression, so amplitudes are bit-for-bit those of
+gate-by-gate evaluation; CX is a swap of two blocks of a reshaped view,
+piece by piece through the scratch.  The full 2^n x 2^n matrix of a gate
+is never materialised here, and the work buffer is a run's only
+state-sized allocation.
 """
 
 import math
@@ -36,9 +39,10 @@ MEASURE = "MEASURE"
 UNITARY_KINDS = frozenset({H, X, RX, CX})
 GATE_KINDS = UNITARY_KINDS | {BARRIER, MEASURE}
 
-# amplitude pairs per pass of a single-qubit gate: the pass's two input
-# blocks and two temporaries (1 MiB in all) stay in a 2 MiB L2 cache, which
-# made gates on 22 qubits about a third faster than passes over half the state
+# amplitude pairs per pass of a single-qubit gate, and per piece of a CX
+# swap: the pass's two input blocks and two temporaries (1 MiB in all) stay
+# in a 2 MiB L2 cache, which made gates on 22 qubits about a third faster
+# than passes over half the state; a run's scratch holds two of them
 _PASS_PAIRS = 1 << 14
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -120,7 +124,12 @@ class Gate:
         return cls(MEASURE, qubit=qubit, cbit=cbit)
 
 
-@dataclass(frozen=True)
+def _check_qubit_count(n_qubits: int) -> None:
+    if not 1 <= n_qubits <= MAX_QUBITS:
+        raise ValueError(f"n_qubits must be in 1..{MAX_QUBITS}, got {n_qubits}")
+
+
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """Dense amplitude vector over ``2**n_qubits`` computational basis states.
 
@@ -129,15 +138,16 @@ class StateVector:
     ownership of their work buffer instead of copying it, with the same
     checks.  ``norm_sq``, the exact sum of |amps|^2, is computed on first
     read and then kept.  Projected states may carry ``norm_sq`` < 1; nothing
-    here renormalises implicitly.
+    here renormalises implicitly.  Two states are equal, and hash alike,
+    when their qubit counts and amplitude bytes are equal, so 0.0 and -0.0
+    amplitudes differ.
     """
 
     n_qubits: int
     amps: np.ndarray
 
     def __post_init__(self):
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ValueError(f"n_qubits must be in 1..{MAX_QUBITS}, got {self.n_qubits}")
+        _check_qubit_count(self.n_qubits)
         object.__setattr__(self, "amps", np.array(self.amps, dtype=np.complex128, copy=True))
         self._freeze()
 
@@ -158,6 +168,14 @@ class StateVector:
             raise ValueError("amplitudes must be finite")
         amps.flags.writeable = False
 
+    def __eq__(self, other):
+        if not isinstance(other, StateVector):
+            return NotImplemented
+        return self.n_qubits == other.n_qubits and self.amps.tobytes() == other.amps.tobytes()
+
+    def __hash__(self):
+        return hash((self.n_qubits, self.amps.tobytes()))
+
     @cached_property
     def norm_sq(self) -> float:
         """Sum of |amps|^2, as ``np.vdot(amps, amps).real``."""
@@ -166,8 +184,7 @@ class StateVector:
 
 def basis_state(n_qubits: int, index: int) -> StateVector:
     """Computational basis state |index> on ``n_qubits`` qubits."""
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise ValueError(f"n_qubits must be in 1..{MAX_QUBITS}, got {n_qubits}")
+    _check_qubit_count(n_qubits)
     if not 0 <= index < 2**n_qubits:
         raise ValueError(f"basis index {index} out of range for {n_qubits} qubits")
     amps = np.zeros(2**n_qubits, dtype=complex)
@@ -181,7 +198,7 @@ def plus_state(n_qubits: int) -> StateVector:
     Built gate by gate rather than filled with 2**(-n/2) so that it is
     bit-for-bit identical to n sequential Hadamard applications.
     """
-    return _evolve(basis_state(n_qubits, 0), [Gate.h(q) for q in range(n_qubits)])
+    return _evolve(n_qubits, [Gate.h(q) for q in range(n_qubits)])
 
 
 def plus_i_state(signs: tuple[int, ...]) -> StateVector:
@@ -211,56 +228,63 @@ def _matrix(gate: Gate) -> np.ndarray:
 
 
 def _cx_blocks(amps: np.ndarray, n: int, control: int, target: int) -> tuple[np.ndarray, ...]:
-    # views of the control-0 half and of the control-1 amplitudes with target 0 and 1;
-    # on the (2,)*n view, axis n-1-q is qubit q; the trailing Ellipsis keeps
-    # a fully indexed block an array view rather than a scalar
-    psi = amps.reshape((2,) * n)
-    where = [slice(None)] * n + [Ellipsis]
-    where[n - 1 - control] = 0
-    idle = psi[tuple(where)]
-    where[n - 1 - control] = 1
-    where[n - 1 - target] = 0
-    low = psi[tuple(where)]
-    where[n - 1 - target] = 1
-    return idle, low, psi[tuple(where)]
+    # views of the control-0 half and of the control-1 amplitudes with target
+    # 0 and 1, on a (high, 2, mid, 2, low) view whose axes 1 and 3 are the
+    # higher and the lower of the two qubits
+    upper, lower = max(control, target), min(control, target)
+    psi = amps.reshape(1 << (n - 1 - upper), 2, 1 << (upper - 1 - lower), 2, 1 << lower)
+    if control == upper:
+        return psi[:, 0], psi[:, 1, :, 0], psi[:, 1, :, 1]
+    return psi[:, :, :, 0], psi[:, 0, :, 1], psi[:, 1, :, 1]
 
 
 def _apply(src: np.ndarray, dst: np.ndarray, gate: Gate, n: int, scratch: np.ndarray) -> None:
     """Write gate * src into dst; dst may be src, which is then updated in place.
 
-    ``scratch`` holds at least max(2, len(src) // 2) amplitudes and is
-    overwritten.  A single-qubit gate computes m00*a0 + m01*a1 and
-    m10*a0 + m11*a1 with the same complex products and sums as a plain
-    numpy expression, so the amplitudes do not depend on the buffers used.
+    ``scratch`` holds a power of two of amplitudes, at least 2 and at most
+    len(src), and is overwritten: a pass of a single-qubit gate or a piece
+    of an in-place CX uses its two halves.  A single-qubit gate computes
+    m00*a0 + m01*a1 and m10*a0 + m11*a1 with the same complex products and
+    sums as a plain numpy expression, so the amplitudes do not depend on
+    the buffers used.
     """
+    size = len(scratch) // 2
     if gate.kind == CX:
         idle, low, high = _cx_blocks(src, n, gate.qubit, gate.target)
-        if dst is src:
-            # copies between interleaved views of one array would make numpy
-            # buffer a whole block, so both pass through the scratch
-            held_low = scratch[: low.size].reshape(low.shape)
-            held_high = scratch[low.size : 2 * low.size].reshape(low.shape)
-            np.copyto(held_low, low)
-            np.copyto(held_high, high)
-            np.copyto(low, held_high)
-            np.copyto(high, held_low)
-        else:
+        if dst is not src:
             idle_out, low_out, high_out = _cx_blocks(dst, n, gate.qubit, gate.target)
             np.copyto(idle_out, idle)
             np.copyto(low_out, high)
             np.copyto(high_out, low)
+            return
+        # pieces of at most size amplitudes; a copy between interleaved
+        # pieces of one array would make numpy buffer it, so both pass
+        # through the scratch
+        tops, mids, lows = low.shape
+        rows, cols = min(mids, max(1, size // lows)), min(lows, size)
+        stack = max(1, size // (mids * lows))
+        for i in range(0, tops, stack):
+            for j in range(0, mids, rows):
+                for k in range(0, lows, cols):
+                    where = (slice(i, i + stack), slice(j, j + rows), slice(k, k + cols))
+                    a, b = low[where], high[where]
+                    held_a = scratch[: a.size].reshape(a.shape)
+                    held_b = scratch[size : size + a.size].reshape(a.shape)
+                    np.copyto(held_a, a)
+                    np.copyto(held_b, b)
+                    np.copyto(a, held_b)
+                    np.copyto(b, held_a)
         return
     m00, m01, m10, m11 = _matrix(gate).ravel()
     # view as (high bits, target bit, low bits); qubit q has stride 2**q
     width = 1 << gate.qubit
     a = src.reshape(-1, 2, width)
     b = dst.reshape(-1, 2, width)
-    # passes of at most _PASS_PAIRS pairs and at most half of them, so both
-    # temporaries fit in the scratch
-    size = max(1, min(_PASS_PAIRS, len(src) // 4))
+    # passes of size pairs; the scratch is at most the state, so a pass never
+    # exceeds the len(src) // 2 pairs there are
     rows, cols = max(1, size // width), min(size, width)
     t0 = scratch[:size].reshape(rows, cols)
-    t1 = scratch[size : 2 * size].reshape(rows, cols)
+    t1 = scratch[size:].reshape(rows, cols)
     for i in range(0, a.shape[0], rows):
         for j in range(0, width, cols):
             a0, a1 = a[i : i + rows, 0, j : j + cols], a[i : i + rows, 1, j : j + cols]
@@ -274,18 +298,26 @@ def _apply(src: np.ndarray, dst: np.ndarray, gate: Gate, n: int, scratch: np.nda
             np.add(t1, t0, out=b1)
 
 
-def _evolve(state: StateVector, gates: Sequence[Gate]) -> StateVector:
-    """Apply unitary gates in order through one work buffer, frozen once at the end.
+def _evolve(n: int, gates: Sequence[Gate], start: StateVector | None = None) -> StateVector:
+    """Apply unitary gates in order to ``start``, or to |0...0> if it is None, frozen once at the end.
 
-    The first gate reads ``state.amps`` and every later one runs in place;
-    ``state`` itself is never written.
+    A run from |0...0> writes it into the work buffer and runs every gate
+    in place.  Otherwise the first gate reads ``start.amps``, which is never
+    written, and later gates run in place.  Besides the work buffer the run
+    holds only a scratch of 2 * _PASS_PAIRS amplitudes (the state size if
+    that is smaller).
     """
-    if not gates:
-        return state
-    n = state.n_qubits
-    work = np.empty(2**n, dtype=np.complex128)
-    scratch = np.empty(max(2, len(work) // 2), dtype=np.complex128)
-    src = state.amps
+    if start is None:
+        _check_qubit_count(n)
+        work = np.zeros(2**n, dtype=np.complex128)
+        work[0] = 1.0
+        src = work
+    elif not gates:
+        return start
+    else:
+        work = np.empty(2**n, dtype=np.complex128)
+        src = start.amps
+    scratch = np.empty(min(2 * _PASS_PAIRS, len(work)), dtype=np.complex128)
     for gate in gates:
         _apply(src, work, gate, n, scratch)
         src = work
@@ -303,7 +335,7 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
         raise ValueError(f"qubit {gate.qubit} out of range for {n}-qubit state")
     if gate.kind == CX and gate.target >= n:
         raise ValueError(f"target {gate.target} out of range for {n}-qubit state")
-    return _evolve(state, (gate,))
+    return _evolve(n, (gate,), state)
 
 
 def inner_product(bra: StateVector, ket: StateVector) -> complex:

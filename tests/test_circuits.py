@@ -315,6 +315,45 @@ def test_simulate_ideal_memory_is_one_work_buffer():
     assert peak < 14 * 2**20
 
 
+def test_simulate_ideal_memory_is_the_work_buffer_and_a_half_size_probability_array():
+    # the same circuit: 4 MiB of amplitudes, a 0.5 MiB scratch while the
+    # gates run, then |amplitudes| squared in place into 2 MiB
+    gates = (Gate.h(0), Gate.rx(5, 0.7), Gate.cx(0, 17), Gate.x(3))
+    circuit = Circuit(18, 5, gates + tuple(Gate.measure(q, q) for q in range(5)))
+    tracemalloc.start()
+    try:
+        simulate_ideal(circuit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * 2**20
+
+
+def test_simulate_ideal_rejects_registers_above_the_qubit_cap():
+    with pytest.raises(ValueError):
+        simulate_ideal(Circuit(25, 1, (Gate.h(0), Gate.measure(0, 0))))
+
+
+def test_noisy_sampling_of_a_register_of_70_classical_bits():
+    # the same circuit with its cbits spread over 70 bits in the same order:
+    # the same outcome order and the same flips in ascending cbit order
+    cbit_map = {0: 3, 2: 40, 4: 69}
+    unitaries = (Gate.h(0), Gate.rx(1, 0.7), Gate.cx(0, 2), Gate.h(2))
+    small = Circuit(3, 5, unitaries + (Gate.measure(0, 4), Gate.measure(1, 0), Gate.measure(2, 2)))
+    wide = Circuit(3, 70, unitaries + tuple(Gate.measure(g.qubit, cbit_map[g.cbit]) for g in small.gates[4:]))
+
+    def widen(key):
+        chars = ["0"] * 70
+        for cbit, wide_cbit in cbit_map.items():
+            chars[69 - wide_cbit] = key[4 - cbit]
+        return "".join(chars)
+
+    for noise in (None, NoiseModel(0.1), NoiseModel(0.5)):
+        expected = {widen(k): v for k, v in sample_shots(small, 3 * 10**4, 7, noise).counts.items()}
+        assert sample_shots(wide, 3 * 10**4, 7, noise).counts == expected
+    assert len(sample_shots(wide, 3 * 10**4, 7, NoiseModel(0.5)).counts) == 8
+
+
 def test_sample_validation():
     circuit = pair_check_circuit()
     with pytest.raises(ValueError):

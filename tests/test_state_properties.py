@@ -10,6 +10,7 @@ products, and must agree within 1e-12.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpigeon import states
 from qpigeon.circuits import Circuit, simulate_ideal
 from qpigeon.states import BARRIER, CX, MEASURE, RX, X, Gate, StateVector, apply_gate, basis_state, plus_state
 
@@ -137,6 +139,23 @@ def test_apply_gate_chain_is_bit_identical_to_reference_kernel(run):
         state = apply_gate(state, gate)
         expected = reference_apply(expected, gate, state.n_qubits)
         assert state.amps.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(runs())
+def test_small_passes_and_pieces_are_bit_identical_to_reference_kernel(run):
+    # passes and CX pieces of a few amplitudes cross every block edge of a
+    # <=6-qubit state, for every control/target order
+    state, gates = run
+    n = state.n_qubits
+    expected, zero = state.amps, basis_state(n, 0).amps
+    for gate in gates:
+        expected = reference_apply(expected, gate, n)
+        zero = reference_apply(zero, gate, n)
+    for pass_pairs in (1, 2, 4, 8):
+        with mock.patch.object(states, "_PASS_PAIRS", pass_pairs):
+            assert states._evolve(n, gates, state).amps.tobytes() == expected.tobytes()
+            assert states._evolve(n, gates).amps.tobytes() == zero.tobytes()
 
 
 @pytest.mark.parametrize("n", range(1, 13))

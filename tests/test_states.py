@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +63,24 @@ def test_state_vector_validation():
         StateVector(1, np.array([np.nan, 0.0]))
     with pytest.raises(ValueError):
         StateVector(1, np.array([np.inf * 1j, 0.0]))
+
+
+def test_plus_state_validation():
+    with pytest.raises(ValueError):
+        plus_state(0)
+    with pytest.raises(ValueError):
+        plus_state(25)
+
+
+def test_state_equality_and_hash():
+    state = basis_state(2, 0)
+    same = StateVector(2, [1, 0, 0, 0])
+    assert state == same and hash(state) == hash(same)
+    assert state != basis_state(2, 1)
+    assert state != basis_state(3, 0)
+    assert state != StateVector(2, [1, -0.0, 0, 0])
+    assert state != state.amps.tolist()
+    assert len({state, same, basis_state(2, 1), plus_state(2)}) == 3
 
 
 def test_state_amplitudes_are_frozen():
@@ -252,3 +271,22 @@ def test_norm_sq_matches_amplitudes():
     amps = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     state = StateVector(3, amps)
     assert abs(state.norm_sq - float(np.sum(np.abs(amps) ** 2))) < 1e-12
+
+
+def tracemalloc_peak(call, *args):
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_state_core_memory_is_the_work_buffer():
+    # 18 qubits is 4 MiB of amplitudes: a gate run holds its work buffer, a
+    # 0.5 MiB scratch and the finiteness check's flags, not a frozen |0...0>
+    # or a half-size scratch
+    assert tracemalloc_peak(plus_state, 18) < 6 * 2**20
+    state = plus_state(18)
+    for gate in (Gate.h(0), Gate.rx(17, 0.7), Gate.cx(0, 17), Gate.cx(17, 0)):
+        assert tracemalloc_peak(apply_gate, state, gate) < 5.5 * 2**20
