@@ -261,8 +261,8 @@ def _apply(src: np.ndarray, dst: np.ndarray, gate: Gate, n: int, scratch: np.nda
         # pieces of one array would make numpy buffer it, so both pass
         # through the scratch
         tops, mids, lows = low.shape
-        rows, cols = min(mids, max(1, size // lows)), min(lows, size)
         stack = max(1, size // (mids * lows))
+        rows, cols = min(mids, max(1, size // lows)), min(lows, size)
         for i in range(0, tops, stack):
             for j in range(0, mids, rows):
                 for k in range(0, lows, cols):

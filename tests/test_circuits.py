@@ -351,7 +351,6 @@ def test_noisy_sampling_of_a_register_of_70_classical_bits():
     for noise in (None, NoiseModel(0.1), NoiseModel(0.5)):
         expected = {widen(k): v for k, v in sample_shots(small, 3 * 10**4, 7, noise).counts.items()}
         assert sample_shots(wide, 3 * 10**4, 7, noise).counts == expected
-    assert len(sample_shots(wide, 3 * 10**4, 7, NoiseModel(0.5)).counts) == 8
 
 
 def test_sample_validation():
