@@ -201,3 +201,10 @@ def test_second_derivative_is_three_quarters():
 def test_label_state_norm():
     for label in all_labels():
         assert abs(label_state(label).norm_sq - 1.0) <= 1e-12
+
+
+def test_non_finite_coupling_is_rejected():
+    with pytest.raises(ValueError):
+        transition_probability(FinalStateLabel((1, 1, 1)), math.nan)
+    with pytest.raises(ValueError):
+        amplitude_table(math.inf)

@@ -203,3 +203,13 @@ def test_unwritable_output_exits_2_with_one_line(tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: cannot write {target}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_amplitudes_non_finite_coupling_exits_2_with_one_line(capsys, value):
+    code = cli.main(["amplitudes", "--epsilon-t", value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")

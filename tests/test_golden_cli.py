@@ -1,7 +1,8 @@
-"""The README's headline commands pinned byte for byte against recorded stdout.
+"""The README's headline commands and the other output formats, pinned byte for byte.
 
 Each command in the README's "Reproducing the headline results" table that
-``tests/test_golden_sampling.py`` does not already pin has its exact stdout
+``tests/test_golden_sampling.py`` does not already pin, and the CSV or JSON
+form of each subcommand that the table does not show, has its exact stdout
 in ``tests/data/golden/``.  Re-record (``PYTHONPATH=src python
 tests/test_golden_cli.py --record``) only when a change is meant to alter
 published output.
@@ -24,6 +25,14 @@ README_COMMANDS = {
     "hiddenvars": "hiddenvars.json",
 }
 
+FORMAT_COMMANDS = {
+    "identities --format csv": "identities.csv",
+    "amplitudes --epsilon-t 0:6.2832:65 --format json": "amplitudes_0_6.2832_65.json",
+    "simulate --circuit pi": "simulate_pi.csv",
+    "simulate --circuit p --group --format json": "simulate_p_group.json",
+    "hiddenvars --format csv": "hiddenvars.csv",
+}
+
 
 def cli_stdout(command: str) -> bytes:
     out = io.StringIO()
@@ -32,14 +41,21 @@ def cli_stdout(command: str) -> bytes:
     return out.getvalue().encode()
 
 
+def mismatched(commands: dict[str, str]) -> list[str]:
+    return [command for command, filename in commands.items()
+            if cli_stdout(command) != (GOLDEN_DIR / filename).read_bytes()]
+
+
 def test_readme_headline_commands_match_goldens():
-    mismatched = [command for command, filename in README_COMMANDS.items()
-                  if cli_stdout(command) != (GOLDEN_DIR / filename).read_bytes()]
-    assert mismatched == []
+    assert mismatched(README_COMMANDS) == []
+
+
+def test_other_output_formats_match_goldens():
+    assert mismatched(FORMAT_COMMANDS) == []
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         raise SystemExit("usage: PYTHONPATH=src python tests/test_golden_cli.py --record")
-    for command, filename in README_COMMANDS.items():
+    for command, filename in {**README_COMMANDS, **FORMAT_COMMANDS}.items():
         (GOLDEN_DIR / filename).write_bytes(cli_stdout(command))
