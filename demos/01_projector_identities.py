@@ -13,7 +13,6 @@ import numpy as np
 from qpigeon import (
     PAIRS,
     all_same_box_projector,
-    hermitian_eigenvalues,
     one_pair_projector,
     operator_rank,
     pair_only_projector,
@@ -40,13 +39,13 @@ def main():
     print("=== counting operator ===")
     count = shared_pair_count()
     print(f"diagonal:    {np.diag(count.matrix).real}")
-    print(f"eigenvalues: {hermitian_eigenvalues(count.matrix)}")
+    report = verify_identities()
+    print(f"eigenvalues: {np.array(report.spectrum)}")
     print("a basis state either has exactly one pair together (eigenvalue 1)")
     print("or all three together (eigenvalue 3); two pairs alone is impossible.")
 
     print()
     print("=== identities ===")
-    report = verify_identities()
     width = max(len(name) for name in report.checks)
     for name, dev in report.checks.items():
         print(f"{name:<{width}}  max dev {dev:.3e}")

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qpigeon import cli
+from qpigeon import amplitudes, cli
 from qpigeon.circuits import (
     export_qasm,
     histogram_json,
@@ -213,3 +213,13 @@ def test_amplitudes_non_finite_coupling_exits_2_with_one_line(capsys, value):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ")
+
+
+def test_amplitudes_closed_form_mismatch_exits_1_with_every_row(capsys, monkeypatch):
+    exact = amplitudes.closed_form_probability
+    monkeypatch.setattr(amplitudes, "closed_form_probability", lambda label, et: exact(label, et) + 1e-9)
+    code = cli.main(["amplitudes", "--epsilon-t", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert len(captured.out.strip().split("\n")) == 1 + 8
+    assert captured.err == ""

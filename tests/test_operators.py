@@ -10,7 +10,6 @@ from qpigeon.operators import (
     apply_operator,
     evolution_closed_form,
     evolution_series,
-    hermitian_eigenvalues,
     one_pair_projector,
     operator_rank,
     pair_only_projector,
@@ -19,11 +18,6 @@ from qpigeon.operators import (
     verify_identities,
 )
 from qpigeon.states import basis_state, plus_state
-
-
-def random_hermitian(dim, rng):
-    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return (m + m.conj().T) / 2.0
 
 
 def test_same_box_projector_action_on_basis_states():
@@ -151,33 +145,6 @@ def test_verify_identities_rejects_bad_tolerance():
         verify_identities(tolerance=0.0)
 
 
-def test_jacobi_matches_numpy_on_random_hermitian():
-    rng = np.random.default_rng(77)
-    for dim in range(2, 9):
-        for _ in range(5):
-            m = random_hermitian(dim, rng)
-            ours = hermitian_eigenvalues(m)
-            reference = np.linalg.eigvalsh(m)
-            assert np.max(np.abs(ours - reference)) < 1e-10
-
-
-def test_jacobi_on_diagonal_input():
-    eigs = hermitian_eigenvalues(np.diag([3.0, -1.0, 2.0]).astype(complex))
-    assert np.allclose(eigs, [-1.0, 2.0, 3.0], atol=1e-14)
-
-
-def test_jacobi_on_pauli_y():
-    eigs = hermitian_eigenvalues(np.array([[0.0, -1j], [1j, 0.0]]))
-    assert np.allclose(eigs, [-1.0, 1.0], atol=1e-12)
-
-
-def test_jacobi_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        hermitian_eigenvalues(np.ones((2, 3)))
-
-
 def test_linear_operator_flag_validation():
     with pytest.raises(ValueError):
         LinearOperator(np.array([[0.0, 1.0], [0.0, 0.0]]), is_hermitian=True)
@@ -248,3 +215,15 @@ def test_evolution_rejects_non_finite():
         evolution_closed_form(math.nan)
     with pytest.raises(ValueError):
         evolution_series(math.inf)
+
+
+def test_diagonal_routes_build_no_dense_operator(monkeypatch):
+    from qpigeon.amplitudes import FinalStateLabel, amplitude_table, pair_count_matrix_element
+
+    def refuse(self):
+        raise AssertionError("a dense LinearOperator was built")
+
+    monkeypatch.setattr(LinearOperator, "__post_init__", refuse)
+    assert verify_identities().passed
+    assert len(amplitude_table(0.3)) == 8
+    pair_count_matrix_element(FinalStateLabel((1, -1, 1)))
