@@ -77,7 +77,7 @@ _INDEX = np.arange(DIM)
 # Box-basis diagonals: entry z is the operator's eigenvalue on basis state |z>.
 _SAME_BOX = {(a, b): _frozen(((_INDEX >> a) & 1) == ((_INDEX >> b) & 1)) for a, b in PAIRS}
 ALL_SAME_DIAGONAL = _frozen([1, 0, 0, 0, 0, 0, 0, 1])
-ONE_PAIR_DIAGONAL = _frozen(sum(diag - ALL_SAME_DIAGONAL for diag in _SAME_BOX.values()))
+_ONE_PAIR_DIAGONAL = _frozen(sum(diag - ALL_SAME_DIAGONAL for diag in _SAME_BOX.values()))
 PAIR_COUNT_DIAGONAL = _frozen(sum(_SAME_BOX.values()))
 
 
@@ -115,7 +115,7 @@ def one_pair_projector() -> LinearOperator:
     stays a projector and together with all_same_box_projector resolves the
     identity.
     """
-    return LinearOperator(np.diag(ONE_PAIR_DIAGONAL), is_hermitian=True, is_projector=True)
+    return LinearOperator(np.diag(_ONE_PAIR_DIAGONAL), is_hermitian=True, is_projector=True)
 
 
 def shared_pair_count() -> LinearOperator:
@@ -177,7 +177,7 @@ def verify_identities(tolerance: float = 1e-12) -> IdentityReport:
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
     eye = np.ones(DIM)
-    same, big_p, small_p, count = _SAME_BOX, ALL_SAME_DIAGONAL, ONE_PAIR_DIAGONAL, PAIR_COUNT_DIAGONAL
+    same, big_p, small_p, count = _SAME_BOX, ALL_SAME_DIAGONAL, _ONE_PAIR_DIAGONAL, PAIR_COUNT_DIAGONAL
     pair_only = {pair: same[pair] - big_p for pair in PAIRS}
 
     checks: dict[str, float] = {}
