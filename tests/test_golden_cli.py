@@ -1,9 +1,9 @@
 """The README's headline commands and the other output formats, pinned byte for byte.
 
 Each command in the README's "Reproducing the headline results" table that
-``tests/test_golden_sampling.py`` does not already pin, and the CSV or JSON
-form of each subcommand that the table does not show, has its exact stdout
-in ``tests/data/golden/``.  Re-record (``PYTHONPATH=src python
+``tests/test_golden_sampling.py`` does not already pin, and each other
+output shape of the subcommands (the other format, ``--group``, readout
+noise), has its exact stdout in ``tests/data/golden/``.  Re-record (``PYTHONPATH=src python
 tests/test_golden_cli.py --record``) only when a change is meant to alter
 published output.
 """
@@ -31,6 +31,16 @@ FORMAT_COMMANDS = {
     "simulate --circuit pi": "simulate_pi.csv",
     "simulate --circuit p --group --format json": "simulate_p_group.json",
     "hiddenvars --format csv": "hiddenvars.csv",
+    "sample --circuit pi --shots 8192 --seed 42": "sample_pi_8192_seed42.json",
+    "sample --circuit pi --shots 8192 --seed 42 --format csv": "sample_pi_8192_seed42.csv",
+    "sample --circuit p --shots 8192 --seed 42 --group": "sample_p_8192_seed42_group.json",
+    "sample --circuit p --shots 8192 --seed 42 --noise-readout 0.02": "sample_p_8192_seed42_noise0.02.json",
+    "sample --circuit p --shots 8192 --seed 42 --noise-readout 0.02 --group":
+        "sample_p_8192_seed42_noise0.02_group.json",
+    "simulate --circuit p --format json": "simulate_p.json",
+    "simulate --circuit pi --format json": "simulate_pi.json",
+    "simulate --circuit pi --group": "simulate_pi_group.csv",
+    "simulate --circuit p --group": "simulate_p_group.csv",
 }
 
 
