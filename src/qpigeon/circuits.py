@@ -18,14 +18,13 @@ Asau, 1974), with a binary search only where its bucket holds a CDF step, and
 memory stays O(CHUNK) plus the support however many shots are asked for.
 """
 
-import json
 import math
-import os
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import output
 from .states import BARRIER, CX, H, MEASURE, RX, X, Gate, _evolve
 # part of this module's namespace, so callers may import it from here; patching
 # it here does not reach simulate_ideal, which runs states._evolve
@@ -92,6 +91,15 @@ class ShotHistogram:
     shots: int
     seed: int
     noise: NoiseModel | None = None
+
+    def to_dict(self) -> dict:
+        """The JSON document's fields: shots, seed, noise, and the counts sorted by bitstring."""
+        return {
+            "shots": self.shots,
+            "seed": self.seed,
+            "noise": None if self.noise is None else {"readout_flip_prob": self.noise.readout_flip_prob},
+            "counts": dict(sorted(self.counts.items())),
+        }
 
 
 @dataclass(frozen=True)
@@ -419,54 +427,19 @@ def parse_qasm(text: str) -> Circuit:
 
 def histogram_csv(hist: ShotHistogram) -> str:
     """CSV with columns bitstring,count; rows sorted by bitstring."""
-    lines = ["bitstring,count"]
-    lines += [f"{key},{hist.counts[key]}" for key in sorted(hist.counts)]
-    return "\n".join(lines) + "\n"
+    return output.csv_text(("bitstring", "count"), sorted(hist.counts.items()))
 
 
 def histogram_json(hist: ShotHistogram) -> str:
     """JSON document with the shots, seed, noise, and sorted counts."""
-    noise = None if hist.noise is None else {"readout_flip_prob": _sig12(hist.noise.readout_flip_prob)}
-    payload = {
-        "shots": hist.shots,
-        "seed": hist.seed,
-        "noise": noise,
-        "counts": dict(sorted(hist.counts.items())),
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    return output.json_text(hist.to_dict())
 
 
 def grouped_csv(groups: list[OutcomeGroup], expected: dict[tuple[str, str], float]) -> str:
     """CSV with columns pigeon_state,ancilla_pattern,count,expected_probability."""
-    lines = ["pigeon_state,ancilla_pattern,count,expected_probability"]
-    for group in groups:
-        for anc, count in group.ancilla_counts.items():
-            prob = expected.get((group.pigeon_pattern, anc), 0.0)
-            lines.append(f"{group.pigeon_pattern},{anc},{count},{prob:.12g}")
-    return "\n".join(lines) + "\n"
-
-
-def _sig12(x: float) -> float:
-    """Round to 12 significant digits, the precision all text output uses."""
-    return float(f"{x:.12g}")
-
-
-def write_text_atomic(path: str, text: str) -> None:
-    """Write text to ``path`` via a same-directory temp file and atomic rename.
-
-    The file is created like ``open`` creates one, with mode 0o666 less the
-    umask, and its data reaches the disk (fsync) before the rename.
-    """
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp = os.path.join(directory, f".qpigeon-{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    rows = [
+        (group.pigeon_pattern, anc, count, expected.get((group.pigeon_pattern, anc), 0.0))
+        for group in groups
+        for anc, count in group.ancilla_counts.items()
+    ]
+    return output.csv_text(("pigeon_state", "ancilla_pattern", "count", "expected_probability"), rows)

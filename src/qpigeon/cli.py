@@ -3,15 +3,15 @@
 Subcommands: identities, amplitudes, simulate, sample, qasm, hiddenvars.
 Exit code 0 on success, 1 when a verification fails (for example an operator
 identity exceeding its tolerance), 2 on usage errors and on I/O errors, which
-print a one-line ``error:`` message.  All floating-point output carries 12
-significant digits.  ``--output`` writes through a temporary file and an
-atomic rename, so readers never see a partial file.
+print a one-line ``error:`` message.  Each subcommand hands its CSV header and
+rows and its JSON payload to ``qpigeon/output.py``, which rounds every float
+to 12 significant digits and makes ``--output`` write through a temporary
+file and an atomic rename, so readers never see a partial file.
 The default sampling seed comes from the QPIGEON_SEED environment variable
 when set, else 0.
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -19,6 +19,7 @@ from . import amplitudes as amp_mod
 from . import circuits as circ_mod
 from . import hiddenvars as hv_mod
 from . import operators as op_mod
+from . import output
 
 SEED_ENV_VAR = "QPIGEON_SEED"
 
@@ -28,36 +29,14 @@ _CIRCUITS = {
 }
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
-
-
-def _round12(obj):
-    """Recursively round floats to 12 significant digits for JSON output."""
-    if isinstance(obj, float):
-        return float(_fmt(obj))
-    if isinstance(obj, dict):
-        return {k: _round12(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round12(v) for v in obj]
-    return obj
-
-
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        circ_mod.write_text_atomic(output, text)
-
-
 def _default_seed() -> int:
     raw = os.environ.get(SEED_ENV_VAR)
     if raw is None:
         return 0
     try:
         return int(raw)
-    except ValueError as exc:
-        raise SystemExit(f"error: {SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
+    except ValueError:
+        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
 def _parse_sweep(text: str) -> list[float]:
@@ -82,14 +61,8 @@ def _parse_sweep(text: str) -> list[float]:
 
 def _cmd_identities(args) -> int:
     report = op_mod.verify_identities(tolerance=args.tolerance)
-    if args.format == "json":
-        text = json.dumps(_round12(report.to_dict()), indent=2) + "\n"
-    else:
-        lines = ["check,max_deviation,passed"]
-        for name, dev in report.checks.items():
-            lines.append(f"{name},{_fmt(dev)},{str(dev <= report.tolerance).lower()}")
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
+    rows = [(name, dev, dev <= report.tolerance) for name, dev in report.checks.items()]
+    output.render(args.format, ("check", "max_deviation", "passed"), rows, report.to_dict(), args.output)
     return 0 if report.passed else 1
 
 
@@ -104,31 +77,13 @@ def _cmd_amplitudes(args) -> int:
         for rec in table:
             if abs(rec.prob_closed - rec.prob_numeric) > 1e-10:
                 failed = True
-            rows.append(rec)
-    if args.format == "json":
-        payload = {
-            "phase_convention": amp_mod.PHASE_CONVENTION,
-            "records": [
-                {
-                    "epsilon_t": rec.epsilon_t,
-                    "label": str(rec.label),
-                    "outcome_class": rec.outcome_class,
-                    "prob_closed": rec.prob_closed,
-                    "prob_numeric": rec.prob_numeric,
-                }
-                for rec in rows
-            ],
-        }
-        text = json.dumps(_round12(payload), indent=2) + "\n"
-    else:
-        lines = ["epsilon_t,label,outcome_class,prob_closed,prob_numeric"]
-        for rec in rows:
-            lines.append(
-                f"{_fmt(rec.epsilon_t)},{rec.label},{rec.outcome_class},"
-                f"{_fmt(rec.prob_closed)},{_fmt(rec.prob_numeric)}"
-            )
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
+            rows.append((rec.epsilon_t, str(rec.label), rec.outcome_class, rec.prob_closed, rec.prob_numeric))
+    header = ("epsilon_t", "label", "outcome_class", "prob_closed", "prob_numeric")
+    payload = {
+        "phase_convention": amp_mod.PHASE_CONVENTION,
+        "records": [dict(zip(header, row)) for row in rows],
+    }
+    output.render(args.format, header, rows, payload, args.output)
     return 1 if failed else 0
 
 
@@ -140,88 +95,57 @@ def _build_circuit(name: str):
 def _cmd_simulate(args) -> int:
     circuit, ancilla_cbits = _build_circuit(args.circuit)
     probs = circ_mod.simulate_ideal(circuit)
-    failed = abs(sum(probs.values()) - 1.0) > 1e-12
     if args.group:
         expected = circ_mod.grouped_expected(probs, circ_mod.PIGEON_CBITS, ancilla_cbits)
-        if args.format == "json":
-            payload = {
-                "circuit": args.circuit,
-                "groups": [
-                    {"pigeon_state": pig, "ancilla_pattern": anc, "probability": p}
-                    for (pig, anc), p in sorted(expected.items())
-                ],
-            }
-            text = json.dumps(_round12(payload), indent=2) + "\n"
-        else:
-            lines = ["pigeon_state,ancilla_pattern,probability"]
-            for (pig, anc), p in sorted(expected.items()):
-                lines.append(f"{pig},{anc},{_fmt(p)}")
-            text = "\n".join(lines) + "\n"
-    elif args.format == "json":
-        payload = {"circuit": args.circuit, "probabilities": probs}
-        text = json.dumps(_round12(payload), indent=2) + "\n"
+        header = ("pigeon_state", "ancilla_pattern", "probability")
+        rows = [(pig, anc, p) for (pig, anc), p in sorted(expected.items())]
+        payload = {"circuit": args.circuit, "groups": [dict(zip(header, row)) for row in rows]}
     else:
-        lines = ["bitstring,probability"]
-        lines += [f"{key},{_fmt(p)}" for key, p in probs.items()]
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
-    return 1 if failed else 0
+        header, rows = ("bitstring", "probability"), probs.items()
+        payload = {"circuit": args.circuit, "probabilities": probs}
+    output.render(args.format, header, rows, payload, args.output)
+    return 1 if abs(sum(probs.values()) - 1.0) > 1e-12 else 0
 
 
 def _cmd_sample(args) -> int:
     circuit, ancilla_cbits = _build_circuit(args.circuit)
     noise = None if args.noise_readout is None else circ_mod.NoiseModel(args.noise_readout)
     hist = circ_mod.sample_shots(circuit, shots=args.shots, seed=args.seed, noise=noise)
-    if args.group:
-        groups = circ_mod.postselect_group(hist, circ_mod.PIGEON_CBITS, ancilla_cbits)
-        expected = circ_mod.grouped_expected(
-            circ_mod.simulate_ideal(circuit), circ_mod.PIGEON_CBITS, ancilla_cbits
-        )
-        if args.format == "json":
-            payload = {
-                "shots": hist.shots,
-                "seed": hist.seed,
-                "noise": None if noise is None else {"readout_flip_prob": noise.readout_flip_prob},
-                "groups": [
-                    {
-                        "pigeon_state": g.pigeon_pattern,
-                        "ancilla_counts": g.ancilla_counts,
-                        "total": g.total,
-                    }
-                    for g in groups
-                ],
-            }
-            text = json.dumps(_round12(payload), indent=2) + "\n"
-        else:
-            text = circ_mod.grouped_csv(groups, expected)
-    elif args.format == "json":
-        text = circ_mod.histogram_json(hist)
-    else:
-        text = circ_mod.histogram_csv(hist)
-    _emit(text, args.output)
+    payload = hist.to_dict()
+    if not args.group:
+        output.render(args.format, ("bitstring", "count"), payload["counts"].items(), payload, args.output)
+        return 0
+    groups = circ_mod.postselect_group(hist, circ_mod.PIGEON_CBITS, ancilla_cbits)
+    if args.format == "csv":
+        # the CSV holds one row per cell, next to the cell's ideal probability
+        ideal = circ_mod.simulate_ideal(circuit)
+        expected = circ_mod.grouped_expected(ideal, circ_mod.PIGEON_CBITS, ancilla_cbits)
+        output.emit(circ_mod.grouped_csv(groups, expected), args.output)
+        return 0
+    del payload["counts"]
+    payload["groups"] = [
+        {"pigeon_state": g.pigeon_pattern, "ancilla_counts": g.ancilla_counts, "total": g.total}
+        for g in groups
+    ]
+    output.emit(output.json_text(payload), args.output)
     return 0
 
 
 def _cmd_qasm(args) -> int:
     circuit, _ = _build_circuit(args.circuit)
-    _emit(circ_mod.export_qasm(circuit), args.output)
+    output.emit(circ_mod.export_qasm(circuit), args.output)
     return 0
 
 
 def _cmd_hiddenvars(args) -> int:
     report = hv_mod.enumeration_report()
-    if args.format == "json":
-        text = json.dumps(_round12(report), indent=2) + "\n"
-    else:
-        lines = ["v01,v12,v02,v_all," + ",".join(hv_mod.CONSTRAINT_NAMES) + ",valid"]
-        for cand in report["candidates"]:
-            flags = ",".join(str(cand["constraints"][name]).lower() for name in hv_mod.CONSTRAINT_NAMES)
-            lines.append(
-                f"{cand['v01']},{cand['v12']},{cand['v02']},{cand['v_all']},"
-                f"{flags},{str(cand['valid']).lower()}"
-            )
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
+    header = ("v01", "v12", "v02", "v_all", *hv_mod.CONSTRAINT_NAMES, "valid")
+    rows = [
+        (cand["v01"], cand["v12"], cand["v02"], cand["v_all"],
+         *(cand["constraints"][name] for name in hv_mod.CONSTRAINT_NAMES), cand["valid"])
+        for cand in report["candidates"]
+    ]
+    output.render(args.format, header, rows, report, args.output)
     failed = report["violation_exists"] or not report["classical_placements_match_valid_set"]
     return 1 if failed else 0
 
@@ -284,9 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None and args.command == "sample":
-        args.seed = _default_seed()
     try:
+        if args.command == "sample" and args.seed is None:
+            args.seed = _default_seed()
         return args.func(args)
     except (ValueError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -174,8 +174,8 @@ def verify_identities(tolerance: float = 1e-12) -> IdentityReport:
     projector, mutual commutators, and the {1 x 6, 3 x 2} spectrum of
     shared_pair_count.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
     eye = np.ones(DIM)
     same, big_p, small_p, count = _SAME_BOX, ALL_SAME_DIAGONAL, _ONE_PAIR_DIAGONAL, PAIR_COUNT_DIAGONAL
     pair_only = {pair: same[pair] - big_p for pair in PAIRS}

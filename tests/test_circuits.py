@@ -27,9 +27,9 @@ from qpigeon.circuits import (
     postselect_group,
     sample_shots,
     simulate_ideal,
-    write_text_atomic,
 )
 from qpigeon.operators import apply_operator, same_box_projector
+from qpigeon.output import write_text_atomic
 from qpigeon.states import Gate, inner_product, plus_i_state, plus_state
 
 DATA_DIR = Path(__file__).parent / "data"

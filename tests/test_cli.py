@@ -120,6 +120,15 @@ def test_sample_seed_env_default(capsys, monkeypatch):
     assert json.loads(default)["seed"] == 0
 
 
+def test_sample_malformed_seed_env_exits_2_with_one_line(capsys, monkeypatch):
+    monkeypatch.setenv(cli.SEED_ENV_VAR, "abc")
+    code = cli.main(["sample", "--circuit", "pi", "--shots", "100"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {cli.SEED_ENV_VAR} must be an integer, got 'abc'\n"
+
+
 def test_sample_with_noise_flag(capsys):
     code, out = run_cli(
         capsys, "sample", "--circuit", "pi", "--shots", "4096", "--seed", "42",
@@ -205,9 +214,14 @@ def test_unwritable_output_exits_2_with_one_line(tmp_path, capsys):
     assert captured.err == f"error: cannot write {target}: No such file or directory\n"
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
-def test_amplitudes_non_finite_coupling_exits_2_with_one_line(capsys, value):
-    code = cli.main(["amplitudes", "--epsilon-t", value])
+@pytest.mark.parametrize("argv", [
+    pytest.param(["amplitudes", "--epsilon-t", "nan"], id="nan"),
+    pytest.param(["amplitudes", "--epsilon-t", "inf"], id="inf"),
+    pytest.param(["identities", "--tolerance", "nan"], id="identities-nan"),
+    pytest.param(["identities", "--tolerance", "inf"], id="identities-inf"),
+])
+def test_amplitudes_non_finite_coupling_exits_2_with_one_line(capsys, argv):
+    code = cli.main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""

@@ -141,8 +141,9 @@ def test_verify_identities_report_round_trips_to_dict():
 
 
 def test_verify_identities_rejects_bad_tolerance():
-    with pytest.raises(ValueError):
-        verify_identities(tolerance=0.0)
+    for tolerance in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            verify_identities(tolerance=tolerance)
 
 
 def test_linear_operator_flag_validation():
