@@ -7,144 +7,89 @@ and a reproducible sampler, OpenQASM 2.0 export, and the exhaustive
 hidden-variable enumeration that closes the classical loophole.
 """
 
-from .amplitudes import (
-    ALL_SAME_SIGN,
-    ONE_MINORITY_SIGN,
-    PHASE_CONVENTION,
-    AmplitudeRecord,
-    FinalStateLabel,
-    all_labels,
-    all_same_matrix_element,
-    all_same_matrix_element_closed,
-    amplitude_table,
-    closed_form_probability,
-    first_order_derivative,
-    label_state,
-    pair_count_matrix_element,
-    pair_matrix_element,
-    pair_matrix_element_closed,
-    transition_probability,
-)
-from .circuits import (
-    ALL_SAME_ANCILLA_CBITS,
-    PAIR_CHECK_ANCILLA_CBITS,
-    PIGEON_CBITS,
-    Circuit,
-    NoiseModel,
-    OutcomeGroup,
-    ShotHistogram,
-    all_same_check_circuit,
-    export_qasm,
-    grouped_csv,
-    grouped_expected,
-    histogram_csv,
-    histogram_json,
-    pair_check_circuit,
-    parse_qasm,
-    postselect_group,
-    sample_shots,
-    simulate_ideal,
-)
-from .hiddenvars import (
-    CONSTRAINT_NAMES,
-    ValueAssignment,
-    box_placement_values,
-    enumerate_assignments,
-    enumeration_report,
-    pigeonhole_violation_exists,
-    valid_assignments,
-)
-from .operators import (
-    PAIRS,
-    IdentityReport,
-    LinearOperator,
-    all_same_box_projector,
-    apply_operator,
-    evolution_closed_form,
-    evolution_diagonal,
-    evolution_series,
-    one_pair_projector,
-    operator_rank,
-    pair_only_projector,
-    same_box_projector,
-    shared_pair_count,
-    verify_identities,
-)
-from .states import (
-    MAX_QUBITS,
-    Gate,
-    StateVector,
-    apply_gate,
-    basis_state,
-    inner_product,
-    plus_i_state,
-    plus_state,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALL_SAME_ANCILLA_CBITS",
-    "ALL_SAME_SIGN",
-    "AmplitudeRecord",
-    "CONSTRAINT_NAMES",
-    "Circuit",
-    "FinalStateLabel",
-    "Gate",
-    "IdentityReport",
-    "LinearOperator",
-    "MAX_QUBITS",
-    "NoiseModel",
-    "ONE_MINORITY_SIGN",
-    "OutcomeGroup",
-    "PAIRS",
-    "PAIR_CHECK_ANCILLA_CBITS",
-    "PHASE_CONVENTION",
-    "PIGEON_CBITS",
-    "ShotHistogram",
-    "StateVector",
-    "ValueAssignment",
-    "all_labels",
-    "all_same_box_projector",
-    "all_same_check_circuit",
-    "all_same_matrix_element",
-    "all_same_matrix_element_closed",
-    "amplitude_table",
-    "apply_gate",
-    "apply_operator",
-    "basis_state",
-    "box_placement_values",
-    "closed_form_probability",
-    "enumerate_assignments",
-    "enumeration_report",
-    "evolution_closed_form",
-    "evolution_diagonal",
-    "evolution_series",
-    "export_qasm",
-    "first_order_derivative",
-    "grouped_csv",
-    "grouped_expected",
-    "histogram_csv",
-    "histogram_json",
-    "inner_product",
-    "label_state",
-    "one_pair_projector",
-    "operator_rank",
-    "pair_check_circuit",
-    "pair_count_matrix_element",
-    "pair_matrix_element",
-    "pair_matrix_element_closed",
-    "pair_only_projector",
-    "parse_qasm",
-    "pigeonhole_violation_exists",
-    "plus_i_state",
-    "plus_state",
-    "postselect_group",
-    "same_box_projector",
-    "sample_shots",
-    "shared_pair_count",
-    "simulate_ideal",
-    "transition_probability",
-    "valid_assignments",
-    "verify_identities",
-]
+# each public name and its home module, imported on first use of the name; numpy
+# loads only with states, circuits or operators
+_HOMES = {
+    "ALL_SAME_ANCILLA_CBITS": "gates",
+    "ALL_SAME_SIGN": "amplitudes",
+    "AmplitudeRecord": "amplitudes",
+    "CONSTRAINT_NAMES": "hiddenvars",
+    "Circuit": "gates",
+    "FinalStateLabel": "amplitudes",
+    "Gate": "gates",
+    "IdentityReport": "boxes",
+    "LinearOperator": "operators",
+    "MAX_QUBITS": "states",
+    "NoiseModel": "circuits",
+    "ONE_MINORITY_SIGN": "amplitudes",
+    "OutcomeGroup": "circuits",
+    "PAIRS": "boxes",
+    "PAIR_CHECK_ANCILLA_CBITS": "gates",
+    "PHASE_CONVENTION": "amplitudes",
+    "PIGEON_CBITS": "gates",
+    "ShotHistogram": "circuits",
+    "StateVector": "states",
+    "ValueAssignment": "hiddenvars",
+    "all_labels": "amplitudes",
+    "all_same_box_projector": "operators",
+    "all_same_check_circuit": "gates",
+    "all_same_matrix_element": "amplitudes",
+    "all_same_matrix_element_closed": "amplitudes",
+    "amplitude_table": "amplitudes",
+    "apply_gate": "states",
+    "apply_operator": "operators",
+    "basis_state": "states",
+    "box_placement_values": "hiddenvars",
+    "closed_form_probability": "amplitudes",
+    "enumerate_assignments": "hiddenvars",
+    "enumeration_report": "hiddenvars",
+    "evolution_closed_form": "operators",
+    "evolution_diagonal": "boxes",
+    "evolution_series": "operators",
+    "export_qasm": "gates",
+    "first_order_derivative": "amplitudes",
+    "grouped_csv": "circuits",
+    "grouped_expected": "circuits",
+    "histogram_csv": "circuits",
+    "histogram_json": "circuits",
+    "inner_product": "states",
+    "label_state": "amplitudes",
+    "one_pair_projector": "operators",
+    "operator_rank": "operators",
+    "pair_check_circuit": "gates",
+    "pair_count_matrix_element": "amplitudes",
+    "pair_matrix_element": "amplitudes",
+    "pair_matrix_element_closed": "amplitudes",
+    "pair_only_projector": "operators",
+    "parse_qasm": "gates",
+    "pigeonhole_violation_exists": "hiddenvars",
+    "plus_i_state": "states",
+    "plus_state": "states",
+    "postselect_group": "circuits",
+    "same_box_projector": "operators",
+    "sample_shots": "circuits",
+    "shared_pair_count": "operators",
+    "simulate_ideal": "circuits",
+    "transition_probability": "amplitudes",
+    "valid_assignments": "hiddenvars",
+    "verify_identities": "boxes",
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{home}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

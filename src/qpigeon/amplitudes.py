@@ -11,7 +11,8 @@ Each label falls in one of two classes:
   runs from 1/8 down to 0.
 
 Every operator involved is diagonal in the box basis, so each numeric matrix
-element is one vdot of a label state with a diagonal times the uniform state.
+element is one dot product of a label state with a diagonal from
+qpigeon.boxes times the uniform state, over eight entries, in plain Python.
 The closed forms are reported beside the numeric values; the caller decides
 whether the two agree.
 """
@@ -20,10 +21,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .operators import ALL_SAME_DIAGONAL, PAIR_COUNT_DIAGONAL, evolution_diagonal, same_box_diagonal
-from .states import StateVector, plus_i_state, plus_state
+from .boxes import ALL_SAME_DIAGONAL, PAIR_COUNT_DIAGONAL, evolution_diagonal, same_box_diagonal
 
 ALL_SAME_SIGN = "ALL_SAME_SIGN"
 ONE_MINORITY_SIGN = "ONE_MINORITY_SIGN"
@@ -36,6 +34,7 @@ PHASE_CONVENTION = (
     "of minus signs, exp(-i*pi/4) for odd"
 )
 
+_SQRT_HALF = math.sqrt(0.5)
 _SQRT8 = math.sqrt(8.0)
 _SQRT32 = math.sqrt(32.0)
 
@@ -82,18 +81,41 @@ def all_labels() -> tuple[FinalStateLabel, ...]:
     return tuple(FinalStateLabel.from_bits(b) for b in range(8))
 
 
-def label_state(label: FinalStateLabel) -> StateVector:
+def label_state(label: FinalStateLabel):
+    """The label's product state as a StateVector (imports numpy)."""
+    from .states import plus_i_state
+
     return plus_i_state(label.signs)
 
 
-_UNIFORM = plus_state(3).amps
+def _label_amps(signs: tuple[int, int, int]) -> tuple[complex, ...]:
+    """plus_i_state(signs).amps, by the same Kronecker products, qubit 0 varying fastest."""
+    amps = (1 + 0j,)
+    for s in reversed(signs):
+        amps = tuple(a * f for a in amps for f in (complex(_SQRT_HALF), 1j * s * _SQRT_HALF))
+    return amps
+
+
+# every entry of plus_state(3).amps: three Hadamards' products of sqrt(1/2)
+_UNIFORM = complex(_SQRT_HALF * _SQRT_HALF * _SQRT_HALF)
 # indexed by FinalStateLabel.to_bits(), the order of all_labels()
-_LABEL_AMPS = tuple(label_state(label).amps for label in all_labels())
+_LABEL_AMPS = tuple(_label_amps(label.signs) for label in all_labels())
 
 
-def _matrix_element(label: FinalStateLabel, diag: np.ndarray) -> complex:
-    """<label| D |uniform> for the box-basis diagonal operator D."""
-    return complex(np.vdot(_LABEL_AMPS[label.to_bits()], diag * _UNIFORM))
+def _matrix_element(label: FinalStateLabel, diag: tuple[complex, ...]) -> complex:
+    """<label| D |uniform> for the box-basis diagonal D, with the bits of the vdot it replaced.
+
+    Even and odd entries' real products are summed apart, then combined as a
+    BLAS dot combines them.
+    """
+    rr, ii, ri, ir = [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]
+    for k, (bra, d) in enumerate(zip(_LABEL_AMPS[label.to_bits()], diag)):
+        ket = d * _UNIFORM
+        rr[k & 1] += bra.real * ket.real
+        ii[k & 1] += bra.imag * ket.imag
+        ri[k & 1] += bra.real * ket.imag
+        ir[k & 1] += bra.imag * ket.real
+    return complex((rr[0] + rr[1]) + (ii[0] + ii[1]), (ri[0] + ri[1]) - (ir[0] + ir[1]))
 
 
 @dataclass(frozen=True)

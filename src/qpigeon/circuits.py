@@ -1,12 +1,11 @@
-"""Five-qubit ancilla-readout circuits with exact simulation, sampling, and QASM I/O.
+"""Exact simulation and reproducible sampling of the circuits built in qpigeon.gates.
 
-Two builders mirror the experiment:
-
-* pair_check_circuit: qubits 0-2 hold the pigeons, ancilla qubit 3 records
-  whether pigeons 0 and 1 share a box (ancilla reads 0 for "same box").
-  Qubit 4 is carried along unused so both circuits share one register shape.
-* all_same_check_circuit: adds ancilla qubit 4 for the (1, 2) pair, so the
-  ancilla pattern 00 singles out "all three in one box".
+simulate_ideal gives a circuit's exact outcome distribution and sample_shots
+a seeded shot histogram, with an optional readout-noise model; the rest
+groups outcomes by pigeon and ancilla bits and renders histograms.  The
+Circuit type, the two experiment circuits and the QASM text live in gates,
+which needs no numpy; Circuit, all_same_check_circuit and its cbit tuples
+can still be imported from here.
 
 Readout keys are bitstrings over the classical register with the highest
 classical bit leftmost; classical bits never written by a measurement read 0.
@@ -19,20 +18,16 @@ memory stays O(CHUNK) plus the support however many shots are asked for.
 """
 
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import output
-from .states import BARRIER, CX, H, MEASURE, RX, X, Gate, _evolve
-# part of this module's namespace, so callers may import it from here; patching
-# it here does not reach simulate_ideal, which runs states._evolve
-from .states import apply_gate  # noqa: F401
-
-PIGEON_CBITS = (0, 1, 2)
-PAIR_CHECK_ANCILLA_CBITS = (3,)
-ALL_SAME_ANCILLA_CBITS = (3, 4)
+from .gates import BARRIER, MEASURE, Circuit, Gate
+# importable from here as before (perfbench/ reads them here); patching apply_gate
+# here does not reach simulate_ideal, which runs states._evolve
+from .gates import ALL_SAME_ANCILLA_CBITS, PIGEON_CBITS, all_same_check_circuit  # noqa: F401
+from .states import _evolve, apply_gate  # noqa: F401
 
 # outcomes below this probability are left out of the distribution map, so
 # zero-probability bitstrings (exact zeros up to roundoff) never get a key
@@ -40,35 +35,6 @@ _PROB_FLOOR = 1e-14
 
 # shots drawn per pass of the sampler; it bounds sample_shots' working memory
 CHUNK = 1 << 16
-
-
-@dataclass(frozen=True)
-class Circuit:
-    """An ordered gate list over ``n_qubits`` qubits and ``n_cbits`` classical bits."""
-
-    n_qubits: int
-    n_cbits: int
-    gates: tuple[Gate, ...]
-
-    def __post_init__(self):
-        if self.n_qubits < 1 or self.n_cbits < 0:
-            raise ValueError("need at least one qubit and a nonnegative classical bit count")
-        gates = tuple(self.gates)
-        seen_cbits = set()
-        for gate in gates:
-            if gate.kind == BARRIER:
-                continue
-            if gate.qubit >= self.n_qubits:
-                raise ValueError(f"gate {gate} addresses qubit {gate.qubit} outside register")
-            if gate.kind == CX and gate.target >= self.n_qubits:
-                raise ValueError(f"gate {gate} addresses target {gate.target} outside register")
-            if gate.kind == MEASURE:
-                if gate.cbit >= self.n_cbits:
-                    raise ValueError(f"gate {gate} addresses classical bit {gate.cbit} outside register")
-                if gate.cbit in seen_cbits:
-                    raise ValueError(f"classical bit {gate.cbit} written twice")
-                seen_cbits.add(gate.cbit)
-        object.__setattr__(self, "gates", gates)
 
 
 @dataclass(frozen=True)
@@ -109,35 +75,6 @@ class OutcomeGroup:
     pigeon_pattern: str
     ancilla_counts: dict[str, int]
     total: int
-
-
-def pair_check_circuit() -> Circuit:
-    """Circuit testing whether pigeons 0 and 1 share a box.
-
-    Three parts: Hadamards put the pigeons in the uniform superposition;
-    CX(0->3) and CX(1->3) fold the pair parity onto ancilla 3; RX(pi/2)
-    rotates the pigeons so the circular basis reads out as plain bits.
-    Qubits 0-3 are measured into classical bits 0-3; qubit 4 idles.
-    """
-    gates = [Gate.h(0), Gate.h(1), Gate.h(2), Gate.barrier()]
-    gates += [Gate.cx(0, 3), Gate.cx(1, 3), Gate.barrier()]
-    gates += [Gate.rx(0, math.pi / 2.0), Gate.rx(1, math.pi / 2.0), Gate.rx(2, math.pi / 2.0)]
-    gates += [Gate.measure(q, q) for q in range(4)]
-    return Circuit(5, 5, tuple(gates))
-
-
-def all_same_check_circuit() -> Circuit:
-    """Circuit testing pairs (0, 1) and (1, 2) at once.
-
-    Ancilla 3 records the (0, 1) parity and ancilla 4 the (1, 2) parity, so
-    the joint ancilla outcome 00 occurs exactly when all three pigeons sit
-    in one box.  All five qubits are measured.
-    """
-    gates = [Gate.h(0), Gate.h(1), Gate.h(2), Gate.barrier()]
-    gates += [Gate.cx(0, 3), Gate.cx(1, 3), Gate.cx(1, 4), Gate.cx(2, 4), Gate.barrier()]
-    gates += [Gate.rx(0, math.pi / 2.0), Gate.rx(1, math.pi / 2.0), Gate.rx(2, math.pi / 2.0)]
-    gates += [Gate.measure(q, q) for q in range(5)]
-    return Circuit(5, 5, tuple(gates))
 
 
 def _split_measurements(circuit: Circuit) -> tuple[list[Gate], dict[int, int]]:
@@ -320,109 +257,6 @@ def grouped_expected(ideal_probs: dict[str, float], pigeon_cbits, ancilla_cbits)
     """Ideal probability of each (pigeon pattern, ancilla pattern) cell."""
     grouped = _group_map(ideal_probs, pigeon_cbits, ancilla_cbits)
     return {(pig, anc): p for pig, row in grouped.items() for anc, p in row.items()}
-
-
-_ANGLE_NAMES = (
-    ("pi/4", math.pi / 4.0),
-    ("pi/2", math.pi / 2.0),
-    ("pi", math.pi),
-    ("-pi/4", -math.pi / 4.0),
-    ("-pi/2", -math.pi / 2.0),
-    ("-pi", -math.pi),
-)
-
-
-def _format_angle(theta: float) -> str:
-    for name, value in _ANGLE_NAMES:
-        if theta == value:
-            return name
-    return repr(float(theta))
-
-
-def _parse_angle(text: str) -> float:
-    for name, value in _ANGLE_NAMES:
-        if text == name:
-            return value
-    return float(text)
-
-
-def export_qasm(circuit: Circuit) -> str:
-    """Serialise to OpenQASM 2.0 text, deterministically byte for byte.
-
-    Registers are always named q and c; barriers span the whole register.
-    """
-    lines = [
-        "OPENQASM 2.0;",
-        'include "qelib1.inc";',
-        f"qreg q[{circuit.n_qubits}];",
-        f"creg c[{circuit.n_cbits}];",
-    ]
-    for gate in circuit.gates:
-        if gate.kind == H:
-            lines.append(f"h q[{gate.qubit}];")
-        elif gate.kind == X:
-            lines.append(f"x q[{gate.qubit}];")
-        elif gate.kind == RX:
-            lines.append(f"rx({_format_angle(gate.theta)}) q[{gate.qubit}];")
-        elif gate.kind == CX:
-            lines.append(f"cx q[{gate.qubit}],q[{gate.target}];")
-        elif gate.kind == BARRIER:
-            lines.append("barrier q;")
-        elif gate.kind == MEASURE:
-            lines.append(f"measure q[{gate.qubit}] -> c[{gate.cbit}];")
-        else:  # pragma: no cover - Gate validation forbids this
-            raise ValueError(f"cannot serialise gate kind {gate.kind!r}")
-    return "\n".join(lines) + "\n"
-
-
-_QASM_PATTERNS = (
-    (re.compile(r"h\s+q\[(\d+)\]"), lambda m: Gate.h(int(m.group(1)))),
-    (re.compile(r"x\s+q\[(\d+)\]"), lambda m: Gate.x(int(m.group(1)))),
-    (re.compile(r"rx\(([^)]+)\)\s+q\[(\d+)\]"), lambda m: Gate.rx(int(m.group(2)), _parse_angle(m.group(1)))),
-    (re.compile(r"cx\s+q\[(\d+)\]\s*,\s*q\[(\d+)\]"), lambda m: Gate.cx(int(m.group(1)), int(m.group(2)))),
-    (re.compile(r"barrier\s+q"), lambda m: Gate.barrier()),
-    (re.compile(r"measure\s+q\[(\d+)\]\s*->\s*c\[(\d+)\]"), lambda m: Gate.measure(int(m.group(1)), int(m.group(2)))),
-)
-
-
-def parse_qasm(text: str) -> Circuit:
-    """Parse the OpenQASM 2.0 subset emitted by export_qasm.
-
-    Accepts exactly one q register and one c register plus the gate set
-    {h, x, rx, cx, barrier, measure}; anything else raises ValueError.
-    Round-tripping export_qasm output reproduces the gate list.
-    """
-    n_qubits = n_cbits = None
-    gates: list[Gate] = []
-    body = re.sub(r"//[^\n]*", "", text)
-    for raw in body.split(";"):
-        stmt = " ".join(raw.split())
-        if not stmt:
-            continue
-        if stmt.startswith("OPENQASM"):
-            if stmt != "OPENQASM 2.0":
-                raise ValueError(f"unsupported version statement {stmt!r}")
-            continue
-        if stmt.startswith("include"):
-            continue
-        m = re.fullmatch(r"qreg q\[(\d+)\]", stmt)
-        if m:
-            n_qubits = int(m.group(1))
-            continue
-        m = re.fullmatch(r"creg c\[(\d+)\]", stmt)
-        if m:
-            n_cbits = int(m.group(1))
-            continue
-        for pattern, build in _QASM_PATTERNS:
-            m = pattern.fullmatch(stmt)
-            if m:
-                gates.append(build(m))
-                break
-        else:
-            raise ValueError(f"cannot parse statement {stmt!r}")
-    if n_qubits is None or n_cbits is None:
-        raise ValueError("missing qreg or creg declaration")
-    return Circuit(n_qubits, n_cbits, tuple(gates))
 
 
 def histogram_csv(hist: ShotHistogram) -> str:

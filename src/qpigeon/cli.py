@@ -8,7 +8,7 @@ rows and its JSON payload to ``qpigeon/output.py``, which rounds every float
 to 12 significant digits and makes ``--output`` write through a temporary
 file and an atomic rename, so readers never see a partial file.
 The default sampling seed comes from the QPIGEON_SEED environment variable
-when set, else 0.
+when set, else 0.  Only simulate and sample load numpy (through circuits).
 """
 
 import argparse
@@ -16,16 +16,14 @@ import os
 import sys
 
 from . import amplitudes as amp_mod
-from . import circuits as circ_mod
+from . import boxes, gates, output
 from . import hiddenvars as hv_mod
-from . import operators as op_mod
-from . import output
 
 SEED_ENV_VAR = "QPIGEON_SEED"
 
 _CIRCUITS = {
-    "pi": (circ_mod.pair_check_circuit, circ_mod.PAIR_CHECK_ANCILLA_CBITS),
-    "p": (circ_mod.all_same_check_circuit, circ_mod.ALL_SAME_ANCILLA_CBITS),
+    "pi": (gates.pair_check_circuit, gates.PAIR_CHECK_ANCILLA_CBITS),
+    "p": (gates.all_same_check_circuit, gates.ALL_SAME_ANCILLA_CBITS),
 }
 
 
@@ -60,7 +58,7 @@ def _parse_sweep(text: str) -> list[float]:
 
 
 def _cmd_identities(args) -> int:
-    report = op_mod.verify_identities(tolerance=args.tolerance)
+    report = boxes.verify_identities(tolerance=args.tolerance)
     rows = [(name, dev, dev <= report.tolerance) for name, dev in report.checks.items()]
     output.render(args.format, ("check", "max_deviation", "passed"), rows, report.to_dict(), args.output)
     return 0 if report.passed else 1
@@ -93,10 +91,12 @@ def _build_circuit(name: str):
 
 
 def _cmd_simulate(args) -> int:
+    from . import circuits as circ_mod
+
     circuit, ancilla_cbits = _build_circuit(args.circuit)
     probs = circ_mod.simulate_ideal(circuit)
     if args.group:
-        expected = circ_mod.grouped_expected(probs, circ_mod.PIGEON_CBITS, ancilla_cbits)
+        expected = circ_mod.grouped_expected(probs, gates.PIGEON_CBITS, ancilla_cbits)
         header = ("pigeon_state", "ancilla_pattern", "probability")
         rows = [(pig, anc, p) for (pig, anc), p in sorted(expected.items())]
         payload = {"circuit": args.circuit, "groups": [dict(zip(header, row)) for row in rows]}
@@ -108,6 +108,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    from . import circuits as circ_mod
+
     circuit, ancilla_cbits = _build_circuit(args.circuit)
     noise = None if args.noise_readout is None else circ_mod.NoiseModel(args.noise_readout)
     hist = circ_mod.sample_shots(circuit, shots=args.shots, seed=args.seed, noise=noise)
@@ -115,11 +117,11 @@ def _cmd_sample(args) -> int:
     if not args.group:
         output.render(args.format, ("bitstring", "count"), payload["counts"].items(), payload, args.output)
         return 0
-    groups = circ_mod.postselect_group(hist, circ_mod.PIGEON_CBITS, ancilla_cbits)
+    groups = circ_mod.postselect_group(hist, gates.PIGEON_CBITS, ancilla_cbits)
     if args.format == "csv":
         # the CSV holds one row per cell, next to the cell's ideal probability
         ideal = circ_mod.simulate_ideal(circuit)
-        expected = circ_mod.grouped_expected(ideal, circ_mod.PIGEON_CBITS, ancilla_cbits)
+        expected = circ_mod.grouped_expected(ideal, gates.PIGEON_CBITS, ancilla_cbits)
         output.emit(circ_mod.grouped_csv(groups, expected), args.output)
         return 0
     del payload["counts"]
@@ -133,7 +135,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_qasm(args) -> int:
     circuit, _ = _build_circuit(args.circuit)
-    output.emit(circ_mod.export_qasm(circuit), args.output)
+    output.emit(gates.export_qasm(circuit), args.output)
     return 0
 
 

@@ -11,13 +11,16 @@ same algebra the operators do:
 
 There are only 16 candidate assignments, so we enumerate.  Exactly four
 survive, and they are exactly the assignments induced by the eight classical
-box placements.  In particular v01 = v12 = v02 = 0 (no two pigeons together)
-never satisfies the constraints: with both boxes available to three pigeons,
-no valid assignment escapes the pigeonhole principle.
+box placements, the rows of boxes.BOX_VALUES.  In particular v01 = v12 =
+v02 = 0 (no two pigeons together) never satisfies the constraints: with both
+boxes available to three pigeons, no valid assignment escapes the pigeonhole
+principle.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product
+
+from .boxes import BOX_VALUES
 
 COUNTING = "counting"
 PRODUCT_01_12 = "product_01_12"
@@ -90,16 +93,12 @@ def valid_assignments(require_counting: bool = True) -> list[ValueAssignment]:
 
 
 def box_placement_values() -> dict[tuple[int, int, int], ValueAssignment]:
-    """The assignment each classical placement (box of pigeon 0, 1, 2) induces."""
-    table = {}
-    for boxes in product((0, 1), repeat=3):
-        table[boxes] = ValueAssignment(
-            v01=int(boxes[0] == boxes[1]),
-            v12=int(boxes[1] == boxes[2]),
-            v02=int(boxes[0] == boxes[2]),
-            v_all=int(boxes[0] == boxes[1] == boxes[2]),
-        )
-    return table
+    """The assignment each classical placement (box of pigeon 0, 1, 2) induces.
+
+    These are the rows of boxes.BOX_VALUES, the joint eigenvalues of the
+    commuting projectors: basis state |z> puts pigeon k in box bit k of z.
+    """
+    return {(z & 1, z >> 1 & 1, z >> 2): ValueAssignment(*row) for z, row in enumerate(BOX_VALUES)}
 
 
 def pigeonhole_violation_exists(require_counting: bool = True) -> bool:
@@ -112,31 +111,13 @@ def pigeonhole_violation_exists(require_counting: bool = True) -> bool:
 
 def enumeration_report() -> dict:
     """JSON-ready summary: every candidate with per-constraint results, then the verdict."""
-    candidates = []
-    for cand in enumerate_assignments():
-        candidates.append(
-            {
-                "v01": cand.v01,
-                "v12": cand.v12,
-                "v02": cand.v02,
-                "v_all": cand.v_all,
-                "constraints": cand.constraint_results(),
-                "valid": cand.valid,
-            }
-        )
     valid = valid_assignments()
     return {
-        "candidates": candidates,
-        "valid": [
-            {
-                "v01": cand.v01,
-                "v12": cand.v12,
-                "v02": cand.v02,
-                "v_all": cand.v_all,
-                "derived_pair_only": cand.derived_pair_only_values(),
-            }
-            for cand in valid
+        "candidates": [
+            {**asdict(cand), "constraints": cand.constraint_results(), "valid": cand.valid}
+            for cand in enumerate_assignments()
         ],
+        "valid": [{**asdict(cand), "derived_pair_only": cand.derived_pair_only_values()} for cand in valid],
         "classical_placements_match_valid_set": set(box_placement_values().values()) == set(valid),
         "violation_exists": pigeonhole_violation_exists(),
     }

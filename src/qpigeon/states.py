@@ -1,4 +1,4 @@
-"""Exact complex state vectors and the small gate set used by the box-parity circuits.
+"""Exact complex state vectors, and the gates of qpigeon.gates applied to them.
 
 Qubit q[0] is the least significant bit of the basis index and is written
 rightmost in ket labels, so |q2 q1 q0> maps to index 4*q2 + 2*q1 + q0.
@@ -27,17 +27,9 @@ from functools import cached_property
 
 import numpy as np
 
+from .gates import BARRIER, CX, H, MEASURE, RX, X, Gate  # noqa: F401 - states.RX stays importable
+
 MAX_QUBITS = 24
-
-H = "H"
-X = "X"
-RX = "RX"
-CX = "CX"
-BARRIER = "BARRIER"
-MEASURE = "MEASURE"
-
-UNITARY_KINDS = frozenset({H, X, RX, CX})
-GATE_KINDS = UNITARY_KINDS | {BARRIER, MEASURE}
 
 # amplitude pairs per pass of a single-qubit gate, and per piece of a CX
 # swap: the pass's two input blocks and two temporaries (1 MiB in all) stay
@@ -55,73 +47,6 @@ def _rx_matrix(theta: float) -> np.ndarray:
     c = math.cos(theta / 2.0)
     s = math.sin(theta / 2.0)
     return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-
-
-@dataclass(frozen=True)
-class Gate:
-    """One instruction: a unitary from {H, X, RX, CX}, a BARRIER, or a MEASURE.
-
-    ``qubit`` is the control for CX and the measured qubit for MEASURE.
-    ``target`` is only set for CX, ``theta`` only for RX, ``cbit`` only for
-    MEASURE.  A BARRIER carries no indices and acts on the whole register.
-    """
-
-    kind: str
-    qubit: int | None = None
-    target: int | None = None
-    theta: float | None = None
-    cbit: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in GATE_KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        if self.kind == BARRIER:
-            if (self.qubit, self.target, self.theta, self.cbit) != (None, None, None, None):
-                raise ValueError("BARRIER takes no operands")
-            return
-        if self.qubit is None or self.qubit < 0:
-            raise ValueError(f"{self.kind} needs a nonnegative qubit index")
-        if self.kind == CX:
-            if self.target is None or self.target < 0:
-                raise ValueError("CX needs a nonnegative target index")
-            if self.target == self.qubit:
-                raise ValueError("CX control and target must differ")
-        elif self.target is not None:
-            raise ValueError(f"{self.kind} takes no target")
-        if self.kind == RX:
-            if self.theta is None or not math.isfinite(self.theta):
-                raise ValueError("RX needs a finite angle")
-        elif self.theta is not None:
-            raise ValueError(f"{self.kind} takes no angle")
-        if self.kind == MEASURE:
-            if self.cbit is None or self.cbit < 0:
-                raise ValueError("MEASURE needs a nonnegative classical bit index")
-        elif self.cbit is not None:
-            raise ValueError(f"{self.kind} takes no classical bit")
-
-    @classmethod
-    def h(cls, qubit: int) -> "Gate":
-        return cls(H, qubit=qubit)
-
-    @classmethod
-    def x(cls, qubit: int) -> "Gate":
-        return cls(X, qubit=qubit)
-
-    @classmethod
-    def rx(cls, qubit: int, theta: float) -> "Gate":
-        return cls(RX, qubit=qubit, theta=theta)
-
-    @classmethod
-    def cx(cls, control: int, target: int) -> "Gate":
-        return cls(CX, qubit=control, target=target)
-
-    @classmethod
-    def barrier(cls) -> "Gate":
-        return cls(BARRIER)
-
-    @classmethod
-    def measure(cls, qubit: int, cbit: int) -> "Gate":
-        return cls(MEASURE, qubit=qubit, cbit=cbit)
 
 
 def _check_qubit_count(n_qubits: int) -> None:
@@ -164,7 +89,9 @@ class StateVector:
         amps = self.amps
         if amps.shape != (2**self.n_qubits,):
             raise ValueError(f"expected {2**self.n_qubits} amplitudes, got shape {amps.shape}")
-        if not np.all(np.isfinite(amps.view(np.float64))):
+        # max and min carry any nan and reach any infinity, with no array of flags
+        flat = amps.view(np.float64)
+        if not (np.isfinite(flat.max()) and np.isfinite(flat.min())):
             raise ValueError("amplitudes must be finite")
         amps.flags.writeable = False
 

@@ -22,28 +22,21 @@ from qpigeon.amplitudes import (
     pair_matrix_element,
     transition_probability,
 )
-from qpigeon.circuits import (
-    export_qasm,
-    histogram_json,
-    pair_check_circuit,
-    all_same_check_circuit,
-    sample_shots,
-    simulate_ideal,
-)
+from qpigeon.boxes import PAIRS, verify_identities
+from qpigeon.circuits import histogram_json, sample_shots, simulate_ideal
+from qpigeon.gates import all_same_check_circuit, export_qasm, pair_check_circuit
 from qpigeon.hiddenvars import (
     box_placement_values,
     pigeonhole_violation_exists,
     valid_assignments,
 )
 from qpigeon.operators import (
-    PAIRS,
     all_same_box_projector,
     evolution_closed_form,
     evolution_series,
     one_pair_projector,
     same_box_projector,
     shared_pair_count,
-    verify_identities,
 )
 
 DATA_DIR = Path(__file__).parent / "data"

@@ -10,27 +10,30 @@ import pytest
 
 from qpigeon.amplitudes import FinalStateLabel, amplitude_table
 from qpigeon.circuits import (
-    ALL_SAME_ANCILLA_CBITS,
-    PAIR_CHECK_ANCILLA_CBITS,
-    PIGEON_CBITS,
-    Circuit,
     NoiseModel,
     ShotHistogram,
-    all_same_check_circuit,
-    export_qasm,
     grouped_csv,
     grouped_expected,
     histogram_csv,
     histogram_json,
-    pair_check_circuit,
-    parse_qasm,
     postselect_group,
     sample_shots,
     simulate_ideal,
 )
+from qpigeon.gates import (
+    ALL_SAME_ANCILLA_CBITS,
+    PAIR_CHECK_ANCILLA_CBITS,
+    PIGEON_CBITS,
+    Circuit,
+    Gate,
+    all_same_check_circuit,
+    export_qasm,
+    pair_check_circuit,
+    parse_qasm,
+)
 from qpigeon.operators import apply_operator, same_box_projector
 from qpigeon.output import write_text_atomic
-from qpigeon.states import Gate, inner_product, plus_i_state, plus_state
+from qpigeon.states import inner_product, plus_i_state, plus_state
 
 DATA_DIR = Path(__file__).parent / "data"
 

@@ -3,13 +3,8 @@ import json
 import pytest
 
 from qpigeon import amplitudes, cli
-from qpigeon.circuits import (
-    export_qasm,
-    histogram_json,
-    pair_check_circuit,
-    sample_shots,
-    simulate_ideal,
-)
+from qpigeon.circuits import histogram_json, sample_shots, simulate_ideal
+from qpigeon.gates import export_qasm, pair_check_circuit
 
 
 def run_cli(capsys, *argv):
@@ -153,7 +148,7 @@ def test_qasm_matches_library(capsys):
 
 
 def export_qasm_all_same():
-    from qpigeon.circuits import all_same_check_circuit
+    from qpigeon.gates import all_same_check_circuit
 
     return export_qasm(all_same_check_circuit())
 

@@ -19,8 +19,8 @@ from pathlib import Path
 import pytest
 
 from qpigeon import cli
-from qpigeon.circuits import Circuit, NoiseModel, all_same_check_circuit, pair_check_circuit, sample_shots
-from qpigeon.states import Gate
+from qpigeon.circuits import NoiseModel, sample_shots
+from qpigeon.gates import Circuit, Gate, all_same_check_circuit, pair_check_circuit
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 GOLDEN_FILE = GOLDEN_DIR / "sample_counts.json"

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from qpigeon.boxes import PAIRS, verify_identities
 from qpigeon.operators import (
-    PAIRS,
     LinearOperator,
     all_same_box_projector,
     apply_operator,
@@ -15,7 +15,6 @@ from qpigeon.operators import (
     pair_only_projector,
     same_box_projector,
     shared_pair_count,
-    verify_identities,
 )
 from qpigeon.states import basis_state, plus_state
 

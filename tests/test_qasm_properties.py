@@ -8,8 +8,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpigeon.circuits import Circuit, export_qasm, parse_qasm
-from qpigeon.states import Gate
+from qpigeon.gates import Circuit, Gate, export_qasm, parse_qasm
 
 _NAMED_ANGLES = (math.pi / 4.0, math.pi / 2.0, math.pi, -math.pi / 4.0, -math.pi / 2.0, -math.pi)
 

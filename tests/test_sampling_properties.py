@@ -14,8 +14,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpigeon.circuits import CHUNK, Circuit, NoiseModel, _draw_outcomes, _guide_table, sample_shots, simulate_ideal
-from qpigeon.states import MEASURE, Gate
+from qpigeon.circuits import CHUNK, NoiseModel, _draw_outcomes, _guide_table, sample_shots, simulate_ideal
+from qpigeon.gates import MEASURE, Circuit, Gate
 
 
 def one_shot_counts(circuit: Circuit, shots: int, seed: int, noise: NoiseModel | None) -> dict[str, int]:

@@ -20,8 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpigeon import states
-from qpigeon.circuits import Circuit, simulate_ideal
-from qpigeon.states import BARRIER, CX, MEASURE, RX, X, Gate, StateVector, apply_gate, basis_state, plus_state
+from qpigeon.circuits import simulate_ideal
+from qpigeon.gates import BARRIER, CX, MEASURE, RX, X, Circuit, Gate
+from qpigeon.states import StateVector, apply_gate, basis_state, plus_state
 
 _PROB_FLOOR = 1e-14
 
