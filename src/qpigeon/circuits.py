@@ -5,7 +5,7 @@ a seeded shot histogram, with an optional readout-noise model; the rest
 groups outcomes by pigeon and ancilla bits and renders histograms.  The
 Circuit type, the two experiment circuits and the QASM text live in gates,
 which needs no numpy; Circuit, all_same_check_circuit and its cbit tuples
-can still be imported from here.
+are re-exported here, where perfbench/ reads them.
 
 Readout keys are bitstrings over the classical register with the highest
 classical bit leftmost; classical bits never written by a measurement read 0.
@@ -24,8 +24,8 @@ import numpy as np
 
 from . import output
 from .gates import BARRIER, MEASURE, Circuit, Gate
-# importable from here as before (perfbench/ reads them here); patching apply_gate
-# here does not reach simulate_ideal, which runs states._evolve
+# perfbench/ reads these names from this module; patching apply_gate here does
+# not reach simulate_ideal, which runs states._evolve
 from .gates import ALL_SAME_ANCILLA_CBITS, PIGEON_CBITS, all_same_check_circuit  # noqa: F401
 from .states import _evolve, apply_gate  # noqa: F401
 

@@ -17,7 +17,7 @@ boxes available to three pigeons, no valid assignment escapes the pigeonhole
 principle.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import product
 
 from .boxes import BOX_VALUES
@@ -114,10 +114,10 @@ def enumeration_report() -> dict:
     valid = valid_assignments()
     return {
         "candidates": [
-            {**asdict(cand), "constraints": cand.constraint_results(), "valid": cand.valid}
+            {**vars(cand), "constraints": cand.constraint_results(), "valid": cand.valid}
             for cand in enumerate_assignments()
         ],
-        "valid": [{**asdict(cand), "derived_pair_only": cand.derived_pair_only_values()} for cand in valid],
+        "valid": [{**vars(cand), "derived_pair_only": cand.derived_pair_only_values()} for cand in valid],
         "classical_placements_match_valid_set": set(box_placement_values().values()) == set(valid),
         "violation_exists": pigeonhole_violation_exists(),
     }

@@ -17,7 +17,7 @@ the constructors wrap it in a dense LinearOperator:
 Two independent routes compute exp(-i * epsilon_t * shared_pair_count): the
 closed form of boxes.evolution_diagonal as a dense matrix, and a
 scaled-and-squared power series that serves as its oracle.
-verify_identities lives in boxes; it is re-exported here for existing callers.
+verify_identities lives in boxes and is re-exported here, where perfbench/ reads it.
 """
 
 import math

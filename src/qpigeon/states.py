@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gates import BARRIER, CX, H, MEASURE, RX, X, Gate  # noqa: F401 - states.RX stays importable
+from .gates import BARRIER, CX, H, MEASURE, RX, X, Gate  # noqa: F401 - perfbench/ reads states.RX
 
 MAX_QUBITS = 24
 
