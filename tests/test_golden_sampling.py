@@ -1,12 +1,15 @@
 """Sampled histograms pinned byte for byte against recorded goldens.
 
 ``tests/data/golden/sample_counts.json`` holds the sha256 of
-``json.dumps(counts, sort_keys=True)`` for every combination of three
+``json.dumps(counts, sort_keys=True)`` for every combination of five
 circuits, SHOTS, SEEDS and NOISES, plus the names of the files holding the
 exact stdout of the README's two grouped ``sample`` commands.  The goldens
 were recorded from the all-at-once sampler, before it was rewritten to
-stream in chunks; re-record (``PYTHONPATH=src python tests/test_golden_sampling.py
---record``) only when a change is meant to alter published counts.
+stream in chunks.  The rx_cx_70 and skewed_12 entries came later, from the
+chunked sampler that still formatted and parsed register-wide codes, before
+sampling moved to codes over the measured bits alone.  Re-record
+(``PYTHONPATH=src python tests/test_golden_sampling.py --record``) only when
+a change is meant to alter published counts.
 """
 
 import contextlib
@@ -44,7 +47,25 @@ def rx_cx_circuit() -> Circuit:
     return Circuit(3, 4, gates)
 
 
-CIRCUITS = {"pair_check": pair_check_circuit, "all_same": all_same_check_circuit, "rx_cx": rx_cx_circuit}
+def rx_cx_70_circuit() -> Circuit:
+    """The rx_cx gates measured into cbits 40, 3 and 69 of a 70-bit register: codes past 64 bits."""
+    gates = rx_cx_circuit().gates[:5] + (Gate.measure(0, 40), Gate.measure(1, 3), Gate.measure(2, 69))
+    return Circuit(3, 70, gates)
+
+
+def skewed_12_circuit() -> Circuit:
+    """RX(0.05) on 12 qubits, qubit q into cbit 11 - q: a skewed support of hundreds of outcomes."""
+    n = 12
+    return Circuit(n, n, tuple([Gate.rx(q, 0.05) for q in range(n)] + [Gate.measure(q, n - 1 - q) for q in range(n)]))
+
+
+CIRCUITS = {
+    "pair_check": pair_check_circuit,
+    "all_same": all_same_check_circuit,
+    "rx_cx": rx_cx_circuit,
+    "rx_cx_70": rx_cx_70_circuit,
+    "skewed_12": skewed_12_circuit,
+}
 
 
 def counts_sha256(counts: dict[str, int]) -> str:
