@@ -185,20 +185,24 @@ def transition_probability(label: FinalStateLabel, epsilon_t: float) -> Amplitud
     prob_closed is the class formula.  The CLI exits 1 when the two differ by
     more than 1e-10, so a drifting convention cannot pass silently.
     """
-    prob_numeric = abs(_matrix_element(label, evolution_diagonal(epsilon_t))) ** 2
-    prob_closed = closed_form_probability(label, epsilon_t)
-    return AmplitudeRecord(
-        label=label,
-        epsilon_t=float(epsilon_t),
-        prob_closed=prob_closed,
-        prob_numeric=prob_numeric,
-        outcome_class=label.outcome_class,
-    )
+    return _record(label, epsilon_t, evolution_diagonal(epsilon_t))
 
 
 def amplitude_table(epsilon_t: float) -> tuple[AmplitudeRecord, ...]:
     """All eight records at one coupling; their probabilities sum to 1."""
-    return tuple(transition_probability(label, epsilon_t) for label in all_labels())
+    diag = evolution_diagonal(epsilon_t)
+    return tuple(_record(label, epsilon_t, diag) for label in all_labels())
+
+
+def _record(label: FinalStateLabel, epsilon_t: float, diag: tuple[complex, ...]) -> AmplitudeRecord:
+    """The label's record at ``epsilon_t``, given that coupling's evolution diagonal."""
+    return AmplitudeRecord(
+        label=label,
+        epsilon_t=float(epsilon_t),
+        prob_closed=closed_form_probability(label, epsilon_t),
+        prob_numeric=abs(_matrix_element(label, diag)) ** 2,
+        outcome_class=label.outcome_class,
+    )
 
 
 def first_order_derivative(step: float = 1e-4) -> float:

@@ -9,12 +9,12 @@ are re-exported here, where perfbench/ reads them.
 
 Readout keys are bitstrings over the classical register with the highest
 classical bit leftmost; classical bits never written by a measurement read 0.
-Sampling is reproducible: counter-based 64-bit Philox streams keyed by the
-seed drive an inverse-CDF draw over the sorted outcome table, so equal inputs
-give byte-identical histograms on any platform.  Shots are drawn in chunks of
-CHUNK; each uniform is mapped to its outcome through a guide table (Chen and
-Asau, 1974), with a binary search only where its bucket holds a CDF step, and
-memory stays O(CHUNK) plus the support however many shots are asked for.
+Both functions take outcomes from _distribution as integers over the measured
+bits alone.  Sampling is reproducible: Philox streams keyed by the seed drive
+an inverse-CDF draw over them, so equal inputs give byte-identical histograms
+on any platform.  Shots are drawn in chunks of CHUNK through a guide table
+(Chen and Asau, 1974), with a binary search only where a bucket holds a CDF
+step; memory stays O(CHUNK) plus one count per outcome for any shot count.
 """
 
 import math
@@ -94,14 +94,14 @@ def _split_measurements(circuit: Circuit) -> tuple[list[Gate], dict[int, int]]:
     return unitaries, qubit_to_cbit
 
 
-def simulate_ideal(circuit: Circuit) -> dict[str, float]:
-    """Exact outcome distribution over the classical register.
+def _distribution(circuit: Circuit) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The measured cbits in ascending order, the support's patterns and their probabilities.
 
-    Runs the unitary part once, then marginalises |amplitude|^2 over the
-    unmeasured qubits.  Keys are classical-register bitstrings (highest bit
-    leftmost); bits with no measurement read 0.  Outcomes with probability
-    below 1e-14 are omitted, so the keys present are exactly the support.
-    Measurements must all come after the unitaries, each qubit at most once.
+    A pattern is an outcome over the measured bits alone: bit j is the value
+    read into the j-th lowest measured cbit, so every pattern is below 2**24
+    however wide the register.  Patterns come out ascending, which is also
+    the order of their register keys.  Outcomes with probability below 1e-14
+    are left out, so the patterns are exactly the support.
     """
     unitaries, qubit_to_cbit = _split_measurements(circuit)
     n = circuit.n_qubits
@@ -114,25 +114,37 @@ def simulate_ideal(circuit: Circuit) -> dict[str, float]:
     drop_axes = tuple(n - 1 - q for q in range(n) if q not in qubit_to_cbit)
     if drop_axes:
         tensor = tensor.sum(axis=drop_axes)
-    # remaining axes run over measured qubits in descending qubit order, so
-    # bit j of a flat index is the j-th lowest measured qubit
-    marginal = tensor.reshape(-1)
-    kept = np.flatnonzero(marginal > _PROB_FLOOR)
-    # Python ints once a code can outgrow int64
-    codes = np.zeros(len(kept), dtype=np.int64 if circuit.n_cbits < 64 else object)
-    for j, q in enumerate(sorted(qubit_to_cbit)):
-        codes |= ((kept >> j) & 1).astype(codes.dtype) << qubit_to_cbit[q]
-    order = np.argsort(codes)
-    keys = _bitstrings(codes[order].tolist(), circuit.n_cbits)
-    return dict(zip(keys, marginal[kept[order]].tolist()))
+    # the remaining axes run over the measured qubits in descending qubit
+    # order; put them in descending cbit order, the order of a pattern's bits
+    axis_cbits = [qubit_to_cbit[q] for q in sorted(qubit_to_cbit, reverse=True)]
+    axes = sorted(range(len(axis_cbits)), key=axis_cbits.__getitem__, reverse=True)
+    marginal = np.transpose(tensor, axes).reshape(-1)
+    patterns = np.flatnonzero(marginal > _PROB_FLOOR)
+    return sorted(axis_cbits), patterns, marginal[patterns]
 
 
-def _bitstrings(codes: list[int], width: int) -> list[str]:
-    """Classical-register keys of the codes, highest bit leftmost; a register of no bits gives ""."""
+def simulate_ideal(circuit: Circuit) -> dict[str, float]:
+    """Exact outcome distribution over the classical register.
+
+    Runs the unitary part once, then marginalises |amplitude|^2 over the
+    unmeasured qubits.  Keys are classical-register bitstrings (highest bit
+    leftmost); bits with no measurement read 0.  Outcomes with probability
+    below 1e-14 are omitted, so the keys present are exactly the support.
+    Measurements must all come after the unitaries, each qubit at most once.
+    """
+    cbits, patterns, probs = _distribution(circuit)
+    return dict(zip(_bitstrings(patterns, cbits, circuit.n_cbits), probs.tolist()))
+
+
+def _bitstrings(patterns: np.ndarray, cbits: list[int], width: int) -> list[str]:
+    """Register keys of the patterns over ``cbits``, highest bit leftmost, unmeasured bits 0."""
     if width == 0:
-        return [""] * len(codes)
-    spec = f"0{width}b"
-    return [format(code, spec) for code in codes]
+        return [""] * len(patterns)
+    grid = np.full((len(patterns), width), ord("0"), dtype=np.uint8)
+    for j, cbit in enumerate(cbits):
+        grid[:, width - 1 - cbit] = ord("0") + ((patterns >> j) & 1)
+    text = grid.tobytes().decode("ascii")
+    return [text[i : i + width] for i in range(0, len(text), width)]
 
 
 def _guide_table(cdf: np.ndarray) -> np.ndarray:
@@ -158,61 +170,45 @@ def _draw_outcomes(cdf: np.ndarray, guide: np.ndarray, uniforms: np.ndarray) -> 
 def sample_shots(circuit: Circuit, shots: int, seed: int, noise: NoiseModel | None = None) -> ShotHistogram:
     """Draw ``shots`` outcomes reproducibly and return their histogram.
 
-    The draw is inverse-CDF over the sorted ideal distribution, driven by
-    Philox counter-based generators keyed with ``seed``.  The outcome stream
+    The draw is inverse-CDF over the ideal distribution in key order, driven
+    by Philox counter-based generators keyed with ``seed``.  The outcome stream
     gives one uniform per shot; the readout stream (used only if ``noise``
     is given) continues where ``shots`` outcome uniforms end and gives one
     uniform per shot and measured bit, in ascending classical bit order,
     each below the flip probability flipping its bit.  Both streams are
     consumed in chunks of CHUNK shots: each uniform finds its outcome by a
-    guide-table lookup, and each chunk's counts join one running tally (per
-    outcome without noise, per observed code with it), so memory is
-    O(CHUNK) plus the support.  Same (circuit, shots, seed, noise) gives a
-    byte-identical histogram everywhere.
+    guide-table lookup, and each chunk's counts join one tally: per support
+    outcome without noise, per measured-bit pattern (at most 2**24) with it,
+    so memory is O(CHUNK) plus the tally.  Same (circuit, shots, seed,
+    noise) gives a byte-identical histogram everywhere.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must fit in 64 bits, got {seed}")
-    probs = simulate_ideal(circuit)
-    keys = list(probs)
-    weights = np.array([probs[k] for k in keys], dtype=float)
+    cbits, patterns, weights = _distribution(circuit)
     cdf = np.cumsum(weights / weights.sum())
     cdf[-1] = 1.0
     guide = _guide_table(cdf)
     outcomes = np.random.Generator(np.random.Philox(key=seed))
-    # Python ints once a code can outgrow uint64, as in simulate_ideal
-    code_type = np.uint64 if circuit.n_cbits < 64 else object
     if noise is not None:
-        measured_cbits = sorted(g.cbit for g in circuit.gates if g.kind == MEASURE)
-        bit_values = np.array([1 << cbit for cbit in measured_cbits], dtype=code_type)
-        key_codes = np.array([int(k or "0", 2) for k in keys], dtype=code_type)
         # Philox yields four doubles per counter step: skip the outcome draws
         flips = np.random.Generator(np.random.Philox(key=seed))
         flips.bit_generator.advance(shots // 4)
         flips.random(shots % 4)
-    # noiseless: the count of each index into keys; noisy: the sorted codes seen so far and their counts
-    tally = np.zeros(len(keys) if noise is None else 0, dtype=np.int64)
-    seen = np.zeros(0, dtype=code_type)
+    # noiseless: the count of each support index; noisy: the count of each pattern
+    tally = np.zeros(len(patterns) if noise is None else 1 << len(cbits), dtype=np.int64)
     for start in range(0, shots, CHUNK):
         size = min(CHUNK, shots - start)
         drawn = _draw_outcomes(cdf, guide, outcomes.random(size))
         if noise is None:
-            tally += np.bincount(drawn, minlength=len(keys))
+            tally += np.bincount(drawn, minlength=len(patterns))
             continue
-        flipped = flips.random((size, len(measured_cbits))) < noise.readout_flip_prob
-        values, value_counts = np.unique(key_codes[drawn] ^ (flipped @ bit_values), return_counts=True)
-        at = np.searchsorted(seen, values)
-        known = at < len(seen)
-        known[known] = seen[at[known]] == values[known]
-        tally[at[known]] += value_counts[known]
-        seen = np.insert(seen, at[~known], values[~known])
-        tally = np.insert(tally, at[~known], value_counts[~known])
-    if noise is None:
-        counts = {keys[i]: int(tally[i]) for i in np.flatnonzero(tally)}
-    else:
-        counts = dict(zip(_bitstrings(seen.tolist(), circuit.n_cbits), tally.tolist()))
-    return ShotHistogram(counts=dict(sorted(counts.items())), shots=shots, seed=seed, noise=noise)
+        flipped = flips.random((size, len(cbits))) < noise.readout_flip_prob
+        np.add.at(tally, patterns[drawn] ^ (flipped @ (1 << np.arange(len(cbits)))), 1)
+    seen = np.flatnonzero(tally)
+    keys = _bitstrings(patterns[seen] if noise is None else seen, cbits, circuit.n_cbits)
+    return ShotHistogram(counts=dict(zip(keys, tally[seen].tolist())), shots=shots, seed=seed, noise=noise)
 
 
 def _pattern(key: str, cbits: list[int]) -> str:

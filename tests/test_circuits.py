@@ -298,6 +298,25 @@ def test_sampling_memory_is_bounded():
     assert abs(large - small) < 2 * 2**20
 
 
+def test_sampling_memory_is_no_more_than_the_ideal_distributions():
+    # 2**18 outcomes: the sampler holds a support index or a pattern per
+    # outcome and its tally, never a second key table or a running merge
+    n = 18
+    circuit = Circuit(n, n, tuple([Gate.h(q) for q in range(n)] + [Gate.measure(q, q) for q in range(n)]))
+
+    def peak_bytes(run, *args):
+        tracemalloc.start()
+        try:
+            run(circuit, *args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    ideal = peak_bytes(simulate_ideal)
+    for noise in (None, NoiseModel(0.1)):
+        assert peak_bytes(sample_shots, 3 * 10**5, 1, noise) < ideal + 4 * 2**20
+
+
 def test_noisy_sampling_of_a_circuit_without_classical_bits():
     circuit = Circuit(1, 0, (Gate.h(0),))
     assert sample_shots(circuit, 10, 1).counts == {"": 10}

@@ -32,9 +32,10 @@ def one_shot_counts(circuit: Circuit, shots: int, seed: int, noise: NoiseModel |
     else:
         measured_cbits = sorted(g.cbit for g in circuit.gates if g.kind == MEASURE)
         flips = rng.random((shots, len(measured_cbits))) < noise.readout_flip_prob
-        codes = np.array([int(k, 2) for k in keys], dtype=np.uint64)[picks]
+        # Python ints, so registers of any width keep every bit
+        codes = np.array([int(k, 2) for k in keys], dtype=object)[picks]
         for column, cbit in enumerate(measured_cbits):
-            codes = codes ^ (flips[:, column].astype(np.uint64) << np.uint64(cbit))
+            codes = codes ^ (flips[:, column].astype(object) << cbit)
         values, tallies = np.unique(codes, return_counts=True)
         counts = {format(int(v), f"0{circuit.n_cbits}b"): int(t) for v, t in zip(values, tallies)}
     return dict(sorted(counts.items()))
@@ -42,7 +43,11 @@ def one_shot_counts(circuit: Circuit, shots: int, seed: int, noise: NoiseModel |
 
 @st.composite
 def circuits(draw):
-    """Up to 4 qubits, 1-10 gates from {H, X, RX, CX}, a nonempty qubit subset measured into random cbits."""
+    """Up to 4 qubits, 1-10 gates from {H, X, RX, CX}, a nonempty qubit subset measured into random cbits.
+
+    Some registers are 60-70 bits wide, so their keys outgrow 64-bit codes
+    and unmeasured cbits lie between the measured ones.
+    """
     n = draw(st.integers(1, 4))
     qubit = st.integers(0, n - 1)
     angle = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
@@ -51,9 +56,11 @@ def circuits(draw):
         pair = st.lists(qubit, min_size=2, max_size=2, unique=True).map(lambda qs: Gate.cx(*qs))
         single = st.one_of(single, pair)
     gates = draw(st.lists(single, min_size=1, max_size=10))
-    n_cbits = draw(st.integers(1, n + 1))
+    n_cbits = draw(st.one_of(st.integers(1, n + 1), st.integers(60, 70)))
     measured = draw(st.lists(qubit, unique=True, min_size=1, max_size=min(n, n_cbits)))
-    cbits = draw(st.permutations(range(n_cbits)))[: len(measured)]
+    # counted down from the top bit, so wide registers often use cbits past 63
+    cbit = st.integers(0, n_cbits - 1).map(lambda c: n_cbits - 1 - c)
+    cbits = draw(st.lists(cbit, unique=True, min_size=len(measured), max_size=len(measured)))
     gates += [Gate.measure(q, c) for q, c in zip(measured, cbits)]
     return Circuit(n, n_cbits, tuple(gates))
 
