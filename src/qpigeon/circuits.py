@@ -138,13 +138,11 @@ def simulate_ideal(circuit: Circuit) -> dict[str, float]:
 
 def _bitstrings(patterns: np.ndarray, cbits: list[int], width: int) -> list[str]:
     """Register keys of the patterns over ``cbits``, highest bit leftmost, unmeasured bits 0."""
-    if width == 0:
-        return [""] * len(patterns)
     grid = np.full((len(patterns), width), ord("0"), dtype=np.uint8)
     for j, cbit in enumerate(cbits):
         grid[:, width - 1 - cbit] = ord("0") + ((patterns >> j) & 1)
     text = grid.tobytes().decode("ascii")
-    return [text[i : i + width] for i in range(0, len(text), width)]
+    return [text[i * width : (i + 1) * width] for i in range(len(patterns))]
 
 
 def _guide_table(cdf: np.ndarray) -> np.ndarray:
