@@ -12,12 +12,12 @@ Steiger (arXiv:1704.01127): the first gate reads the input state (a run
 from |0...0> writes it into the buffer instead), every later one rewrites
 the buffer in place with a fixed scratch of 2 * _PASS_PAIRS amplitudes,
 and the buffer is frozen into a StateVector once, at the end, without a
-copy.  A single-qubit gate uses the same complex products and sums as a
-plain numpy expression, so amplitudes are bit-for-bit those of
-gate-by-gate evaluation; CX is a swap of two blocks of a reshaped view,
-piece by piece through the scratch.  The full 2^n x 2^n matrix of a gate
-is never materialised here, and the work buffer is a run's only
-state-sized allocation.
+copy.  Every gate is one pair view (the two halves of the pairs it mixes)
+and one walk over it, piece by piece: a single-qubit gate uses the same
+complex products and sums as a plain numpy expression, so amplitudes are
+bit-for-bit those of gate-by-gate evaluation, and an in-place CX swaps the
+halves through the scratch.  No 2^n x 2^n gate matrix is materialised,
+and the work buffer is a run's only state-sized allocation.
 """
 
 import math
@@ -31,10 +31,10 @@ from .gates import BARRIER, CX, H, MEASURE, RX, X, Gate  # noqa: F401 - perfbenc
 
 MAX_QUBITS = 24
 
-# amplitude pairs per pass of a single-qubit gate, and per piece of a CX
-# swap: the pass's two input blocks and two temporaries (1 MiB in all) stay
-# in a 2 MiB L2 cache, which made gates on 22 qubits about a third faster
-# than passes over half the state; a run's scratch holds two of them
+# amplitude pairs per piece of a gate's walk in _apply: a piece's two
+# halves and the two scratch halves (1 MiB in all) stay in a 2 MiB L2
+# cache, which made gates on 22 qubits about a third faster than passes
+# over half the state; a run's scratch is one such pair of halves
 _PASS_PAIRS = 1 << 14
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -154,75 +154,69 @@ def _matrix(gate: Gate) -> np.ndarray:
     return _rx_matrix(gate.theta)
 
 
-def _cx_blocks(amps: np.ndarray, n: int, control: int, target: int) -> tuple[np.ndarray, ...]:
-    # views of the control-0 half and of the control-1 amplitudes with target
-    # 0 and 1, on a (high, 2, mid, 2, low) view whose axes 1 and 3 are the
-    # higher and the lower of the two qubits
-    upper, lower = max(control, target), min(control, target)
+def _pairs(amps: np.ndarray, n: int, gate: Gate) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Views x0, x1 of the two halves of the amplitude pairs ``gate`` mixes, each (high, mid, low).
+
+    The third view is the control-0 block a CX leaves alone, and None for a
+    single-qubit gate.  A CX reshapes to (high, 2, mid, 2, low), whose axes
+    1 and 3 are the higher and the lower of its two qubits.
+    """
+    if gate.kind != CX:
+        psi = amps.reshape(-1, 2, 1, 1 << gate.qubit)
+        return psi[:, 0], psi[:, 1], None
+    upper, lower = max(gate.qubit, gate.target), min(gate.qubit, gate.target)
     psi = amps.reshape(1 << (n - 1 - upper), 2, 1 << (upper - 1 - lower), 2, 1 << lower)
-    if control == upper:
-        return psi[:, 0], psi[:, 1, :, 0], psi[:, 1, :, 1]
-    return psi[:, :, :, 0], psi[:, 0, :, 1], psi[:, 1, :, 1]
+    if gate.qubit == upper:
+        return psi[:, 1, :, 0], psi[:, 1, :, 1], psi[:, 0]
+    return psi[:, 0, :, 1], psi[:, 1, :, 1], psi[:, :, :, 0]
 
 
 def _apply(src: np.ndarray, dst: np.ndarray, gate: Gate, n: int, scratch: np.ndarray) -> None:
     """Write gate * src into dst; dst may be src, which is then updated in place.
 
     ``scratch`` holds a power of two of amplitudes, at least 2 and at most
-    len(src), and is overwritten: a pass of a single-qubit gate or a piece
-    of an in-place CX uses its two halves.  A single-qubit gate computes
-    m00*a0 + m01*a1 and m10*a0 + m11*a1 with the same complex products and
-    sums as a plain numpy expression, so the amplitudes do not depend on
-    the buffers used.
+    len(src), and is overwritten.  Save an out-of-place CX, which copies its
+    three blocks, every gate is one walk over the pairs of ``_pairs`` in
+    pieces of at most len(scratch) // 2 pairs.  A single-qubit gate computes
+    m00*x0 + m01*x1 and m10*x0 + m11*x1 with the same complex products and
+    sums as a plain numpy expression, so amplitudes do not depend on buffers.
     """
-    size = len(scratch) // 2
-    if gate.kind == CX:
-        idle, low, high = _cx_blocks(src, n, gate.qubit, gate.target)
-        if dst is not src:
-            idle_out, low_out, high_out = _cx_blocks(dst, n, gate.qubit, gate.target)
-            np.copyto(idle_out, idle)
-            np.copyto(low_out, high)
-            np.copyto(high_out, low)
-            return
-        # pieces of at most size amplitudes; a copy between interleaved
-        # pieces of one array would make numpy buffer it, so both pass
-        # through the scratch
-        tops, mids, lows = low.shape
-        stack = max(1, size // (mids * lows))
-        rows, cols = min(mids, max(1, size // lows)), min(lows, size)
-        for i in range(0, tops, stack):
-            for j in range(0, mids, rows):
-                for k in range(0, lows, cols):
-                    where = (slice(i, i + stack), slice(j, j + rows), slice(k, k + cols))
-                    a, b = low[where], high[where]
-                    held_a = scratch[: a.size].reshape(a.shape)
-                    held_b = scratch[size : size + a.size].reshape(a.shape)
-                    np.copyto(held_a, a)
-                    np.copyto(held_b, b)
-                    np.copyto(a, held_b)
-                    np.copyto(b, held_a)
+    a0, a1, idle = _pairs(src, n, gate)
+    b0, b1, idle_out = _pairs(dst, n, gate)
+    if idle is not None and dst is not src:
+        np.copyto(idle_out, idle)
+        np.copyto(b0, a1)
+        np.copyto(b1, a0)
         return
-    m00, m01, m10, m11 = _matrix(gate).ravel()
-    # view as (high bits, target bit, low bits); qubit q has stride 2**q
-    width = 1 << gate.qubit
-    a = src.reshape(-1, 2, width)
-    b = dst.reshape(-1, 2, width)
-    # passes of size pairs; the scratch is at most the state, so a pass never
-    # exceeds the len(src) // 2 pairs there are
-    rows, cols = max(1, size // width), min(size, width)
-    t0 = scratch[:size].reshape(rows, cols)
-    t1 = scratch[size:].reshape(rows, cols)
-    for i in range(0, a.shape[0], rows):
-        for j in range(0, width, cols):
-            a0, a1 = a[i : i + rows, 0, j : j + cols], a[i : i + rows, 1, j : j + cols]
-            b0, b1 = b[i : i + rows, 0, j : j + cols], b[i : i + rows, 1, j : j + cols]
-            np.multiply(m00, a0, out=t0)
-            np.multiply(m10, a0, out=t1)
-            # a0 is spent, so b0 may be its slot
-            np.multiply(m01, a1, out=b0)
-            np.add(t0, b0, out=b0)
-            np.multiply(m11, a1, out=t0)
-            np.add(t1, t0, out=b1)
+    # all axes and sizes are powers of two, so every piece has one shape
+    size = len(scratch) // 2
+    highs, mids, lows = a0.shape
+    stack = min(highs, max(1, size // (mids * lows)))
+    rows, cols = min(mids, max(1, size // lows)), min(lows, size)
+    t0 = scratch[: stack * rows * cols].reshape(stack, rows, cols)
+    t1 = scratch[size : size + stack * rows * cols].reshape(stack, rows, cols)
+    if idle is None:
+        m00, m01, m10, m11 = _matrix(gate).ravel()
+    for i in range(0, highs, stack):
+        for j in range(0, mids, rows):
+            for k in range(0, lows, cols):
+                where = (slice(i, i + stack), slice(j, j + rows), slice(k, k + cols))
+                x0, x1, y0, y1 = a0[where], a1[where], b0[where], b1[where]
+                if idle is not None:
+                    # a copy between interleaved pieces of one array would
+                    # make numpy buffer it, so an in-place swap goes through the scratch
+                    np.copyto(t0, x0)
+                    np.copyto(t1, x1)
+                    np.copyto(y0, t1)
+                    np.copyto(y1, t0)
+                    continue
+                np.multiply(m00, x0, out=t0)
+                np.multiply(m10, x0, out=t1)
+                # x0 is spent, so y0 may be its slot
+                np.multiply(m01, x1, out=y0)
+                np.add(t0, y0, out=y0)
+                np.multiply(m11, x1, out=t0)
+                np.add(t1, t0, out=y1)
 
 
 def _evolve(n: int, gates: Sequence[Gate], start: StateVector | None = None) -> StateVector:
@@ -239,8 +233,6 @@ def _evolve(n: int, gates: Sequence[Gate], start: StateVector | None = None) -> 
         work = np.zeros(2**n, dtype=np.complex128)
         work[0] = 1.0
         src = work
-    elif not gates:
-        return start
     else:
         work = np.empty(2**n, dtype=np.complex128)
         src = start.amps

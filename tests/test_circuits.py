@@ -323,23 +323,10 @@ def test_noisy_sampling_of_a_circuit_without_classical_bits():
     assert sample_shots(circuit, 10, 1, NoiseModel(0.1)).counts == {"": 10}
 
 
-def test_simulate_ideal_memory_is_one_work_buffer():
-    # 18 qubits is 4 MiB of amplitudes: the frozen input, one work buffer, a
-    # half-size scratch and the probabilities, not a fresh state per gate
-    gates = (Gate.h(0), Gate.rx(5, 0.7), Gate.cx(0, 17), Gate.x(3))
-    circuit = Circuit(18, 5, gates + tuple(Gate.measure(q, q) for q in range(5)))
-    tracemalloc.start()
-    try:
-        simulate_ideal(circuit)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 14 * 2**20
-
-
 def test_simulate_ideal_memory_is_the_work_buffer_and_a_half_size_probability_array():
-    # the same circuit: 4 MiB of amplitudes, a 0.5 MiB scratch while the
-    # gates run, then |amplitudes| squared in place into 2 MiB
+    # 18 qubits: 4 MiB of amplitudes, a 0.5 MiB scratch while the gates
+    # run, then |amplitudes| squared in place into 2 MiB; not a fresh state
+    # per gate
     gates = (Gate.h(0), Gate.rx(5, 0.7), Gate.cx(0, 17), Gate.x(3))
     circuit = Circuit(18, 5, gates + tuple(Gate.measure(q, q) for q in range(5)))
     tracemalloc.start()

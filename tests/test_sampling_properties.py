@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpigeon.circuits import CHUNK, NoiseModel, _draw_outcomes, _guide_table, sample_shots, simulate_ideal
@@ -77,8 +77,18 @@ noises = st.one_of(
 )
 
 
+# noisy shots of a register whose measured cbits lie on both sides of bit 64,
+# which the strategy seldom draws
+WIDE_NOISY = Circuit(3, 70, (
+    Gate.h(0), Gate.rx(1, 0.7), Gate.cx(0, 2), Gate.h(2),
+    Gate.measure(0, 69), Gate.measure(1, 3), Gate.measure(2, 40),
+))
+
+
 @settings(max_examples=40, deadline=None)
 @given(circuits(), shot_counts, seeds, noises)
+@example(WIDE_NOISY, 2 * CHUNK + 3, 7, NoiseModel(0.1))
+@example(WIDE_NOISY, 2 * CHUNK + 3, 7, NoiseModel(0.5))
 def test_counts_match_one_shot_oracle(circuit, shots, seed, noise):
     hist = sample_shots(circuit, shots, seed, noise)
     assert hist.counts == one_shot_counts(circuit, shots, seed, noise)

@@ -146,17 +146,20 @@ def test_apply_gate_chain_is_bit_identical_to_reference_kernel(run):
 @given(runs())
 def test_small_passes_and_pieces_are_bit_identical_to_reference_kernel(run):
     # passes and CX pieces of a few amplitudes cross every block edge of a
-    # <=6-qubit state, for every control/target order
+    # <=6-qubit state, for every control/target order, in place and, one
+    # gate at a time from the previous state, out of place
     state, gates = run
     n = state.n_qubits
-    expected, zero = state.amps, basis_state(n, 0).amps
+    steps, zero = [state], basis_state(n, 0).amps
     for gate in gates:
-        expected = reference_apply(expected, gate, n)
+        steps.append(StateVector(n, reference_apply(steps[-1].amps, gate, n)))
         zero = reference_apply(zero, gate, n)
     for pass_pairs in (1, 2, 4, 8):
         with mock.patch.object(states, "_PASS_PAIRS", pass_pairs):
-            assert states._evolve(n, gates, state).amps.tobytes() == expected.tobytes()
+            assert states._evolve(n, gates, state).amps.tobytes() == steps[-1].amps.tobytes()
             assert states._evolve(n, gates).amps.tobytes() == zero.tobytes()
+            for gate, before, after in zip(gates, steps, steps[1:]):
+                assert states._evolve(n, (gate,), before).amps.tobytes() == after.amps.tobytes()
 
 
 @pytest.mark.parametrize("n", range(1, 13))

@@ -288,8 +288,12 @@ def tracemalloc_peak(call, *args):
 def test_state_core_memory_is_the_work_buffer():
     # 18 qubits is 4 MiB of amplitudes: a gate run holds its work buffer and a
     # 0.5 MiB scratch (4.5 MiB; plus_state peaks at 4.76), not a frozen
-    # |0...0>, a half-size scratch or 0.5 MiB of finiteness flags
+    # |0...0>, a half-size scratch or 0.5 MiB of finiteness flags; the last
+    # three CX views have a short inner axis
     assert tracemalloc_peak(plus_state, 18) < 5 * 2**20
     state = plus_state(18)
-    for gate in (Gate.h(0), Gate.rx(17, 0.7), Gate.cx(0, 17), Gate.cx(17, 0)):
+    for gate in (
+        Gate.h(0), Gate.rx(17, 0.7), Gate.cx(0, 17), Gate.cx(17, 0),
+        Gate.cx(2, 15), Gate.cx(15, 2), Gate.cx(8, 9),
+    ):
         assert tracemalloc_peak(apply_gate, state, gate) < 4.75 * 2**20
