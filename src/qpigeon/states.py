@@ -175,8 +175,8 @@ def _apply(src: np.ndarray, dst: np.ndarray, gate: Gate, n: int, scratch: np.nda
     """Write gate * src into dst; dst may be src, which is then updated in place.
 
     ``scratch`` holds a power of two of amplitudes, at least 2 and at most
-    len(src), and is overwritten.  Save an out-of-place CX, which copies its
-    three blocks, every gate is one walk over the pairs of ``_pairs`` in
+    len(src), and is overwritten.  An out-of-place CX copies its three
+    blocks; every other gate is one walk over the pairs of ``_pairs``, in
     pieces of at most len(scratch) // 2 pairs.  A single-qubit gate computes
     m00*x0 + m01*x1 and m10*x0 + m11*x1 with the same complex products and
     sums as a plain numpy expression, so amplitudes do not depend on buffers.
