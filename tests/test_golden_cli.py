@@ -41,6 +41,8 @@ FORMAT_COMMANDS = {
     "simulate --circuit pi --format json": "simulate_pi.json",
     "simulate --circuit pi --group": "simulate_pi_group.csv",
     "simulate --circuit p --group": "simulate_p_group.csv",
+    "sample --circuit pi --shots 8192 --seed 42 --noise-readout 0.02 --group --format csv":
+        "sample_pi_8192_seed42_noise0.02_group.csv",
 }
 
 
