@@ -52,9 +52,7 @@ _HOMES = {
     "evolution_series": "operators",
     "export_qasm": "gates",
     "first_order_derivative": "amplitudes",
-    "grouped_csv": "circuits",
     "grouped_expected": "circuits",
-    "histogram_csv": "circuits",
     "histogram_json": "circuits",
     "inner_product": "states",
     "label_state": "amplitudes",

@@ -2,7 +2,8 @@
 
 simulate_ideal gives a circuit's exact outcome distribution and sample_shots
 a seeded shot histogram, with an optional readout-noise model; the rest
-groups outcomes by pigeon and ancilla bits and renders histograms.  The
+groups outcomes by pigeon and ancilla bits.  The command line renders its
+documents itself; histogram_json stays here because perfbench/ reads it.  The
 Circuit type, the two experiment circuits and the QASM text live in gates,
 which needs no numpy; Circuit, all_same_check_circuit and its cbit tuples
 are re-exported here, where perfbench/ reads them.
@@ -253,21 +254,6 @@ def grouped_expected(ideal_probs: dict[str, float], pigeon_cbits, ancilla_cbits)
     return {(pig, anc): p for pig, row in grouped.items() for anc, p in row.items()}
 
 
-def histogram_csv(hist: ShotHistogram) -> str:
-    """CSV with columns bitstring,count; rows sorted by bitstring."""
-    return output.csv_text(("bitstring", "count"), sorted(hist.counts.items()))
-
-
 def histogram_json(hist: ShotHistogram) -> str:
     """JSON document with the shots, seed, noise, and sorted counts."""
     return output.json_text(hist.to_dict())
-
-
-def grouped_csv(groups: list[OutcomeGroup], expected: dict[tuple[str, str], float]) -> str:
-    """CSV with columns pigeon_state,ancilla_pattern,count,expected_probability."""
-    rows = [
-        (group.pigeon_pattern, anc, count, expected.get((group.pigeon_pattern, anc), 0.0))
-        for group in groups
-        for anc, count in group.ancilla_counts.items()
-    ]
-    return output.csv_text(("pigeon_state", "ancilla_pattern", "count", "expected_probability"), rows)

@@ -114,22 +114,21 @@ def _cmd_sample(args) -> int:
     noise = None if args.noise_readout is None else circ_mod.NoiseModel(args.noise_readout)
     hist = circ_mod.sample_shots(circuit, shots=args.shots, seed=args.seed, noise=noise)
     payload = hist.to_dict()
-    if not args.group:
-        output.render(args.format, ("bitstring", "count"), payload["counts"].items(), payload, args.output)
-        return 0
-    groups = circ_mod.postselect_group(hist, gates.PIGEON_CBITS, ancilla_cbits)
-    if args.format == "csv":
-        # the CSV holds one row per cell, next to the cell's ideal probability
+    header, rows = ("bitstring", "count"), payload["counts"].items()
+    if args.group:
+        groups = circ_mod.postselect_group(hist, gates.PIGEON_CBITS, ancilla_cbits)
+        # the CSV holds one row per cell seen, next to the cell's ideal probability
         ideal = circ_mod.simulate_ideal(circuit)
         expected = circ_mod.grouped_expected(ideal, gates.PIGEON_CBITS, ancilla_cbits)
-        output.emit(circ_mod.grouped_csv(groups, expected), args.output)
-        return 0
-    del payload["counts"]
-    payload["groups"] = [
-        {"pigeon_state": g.pigeon_pattern, "ancilla_counts": g.ancilla_counts, "total": g.total}
-        for g in groups
-    ]
-    output.emit(output.json_text(payload), args.output)
+        header = ("pigeon_state", "ancilla_pattern", "count", "expected_probability")
+        rows = [(g.pigeon_pattern, anc, count, expected.get((g.pigeon_pattern, anc), 0.0))
+                for g in groups for anc, count in g.ancilla_counts.items()]
+        del payload["counts"]
+        payload["groups"] = [
+            {"pigeon_state": g.pigeon_pattern, "ancilla_counts": g.ancilla_counts, "total": g.total}
+            for g in groups
+        ]
+    output.render(args.format, header, rows, payload, args.output)
     return 0
 
 
@@ -159,8 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, formats=("csv", "json"), default="json"):
-        p.add_argument("--format", choices=formats, default=default)
+    def add_common(p, default="json"):
+        p.add_argument("--format", choices=("csv", "json"), default=default)
         p.add_argument("--output", default=None, help="write here atomically instead of stdout")
 
     p = sub.add_parser("identities", help="verify the projector algebra and report deviations")

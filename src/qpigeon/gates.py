@@ -11,9 +11,9 @@ register, validated on construction.  Two builders mirror the experiment:
   ancilla pattern 00 singles out "all three in one box".
 
 export_qasm and parse_qasm write and read the OpenQASM 2.0 subset these
-circuits use.  Everything here is plain data and text and needs only the
-standard library; states applies the gates and circuits simulates and
-samples the circuits, both with numpy.
+circuits use from one table of statements.  Everything here is plain data
+and text and needs only the standard library; states applies the gates and
+circuits simulates and samples the circuits, both with numpy.
 """
 
 import math
@@ -27,7 +27,14 @@ CX = "CX"
 BARRIER = "BARRIER"
 MEASURE = "MEASURE"
 
-GATE_KINDS = frozenset({H, X, RX, CX, BARRIER, MEASURE})
+_STATEMENTS = {
+    H: ("h q[{qubit}]", r"h\s+q\[(?P<qubit>\d+)\]"),
+    X: ("x q[{qubit}]", r"x\s+q\[(?P<qubit>\d+)\]"),
+    RX: ("rx({theta}) q[{qubit}]", r"rx\((?P<theta>[^)]+)\)\s+q\[(?P<qubit>\d+)\]"),
+    CX: ("cx q[{qubit}],q[{target}]", r"cx\s+q\[(?P<qubit>\d+)\]\s*,\s*q\[(?P<target>\d+)\]"),
+    BARRIER: ("barrier q", r"barrier\s+q"),
+    MEASURE: ("measure q[{qubit}] -> c[{cbit}]", r"measure\s+q\[(?P<qubit>\d+)\]\s*->\s*c\[(?P<cbit>\d+)\]"),
+}
 
 PIGEON_CBITS = (0, 1, 2)
 PAIR_CHECK_ANCILLA_CBITS = (3,)
@@ -50,7 +57,7 @@ class Gate:
     cbit: int | None = None
 
     def __post_init__(self):
-        if self.kind not in GATE_KINDS:
+        if self.kind not in _STATEMENTS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         if self.kind == BARRIER:
             if (self.qubit, self.target, self.theta, self.cbit) != (None, None, None, None):
@@ -195,31 +202,9 @@ def export_qasm(circuit: Circuit) -> str:
         f"creg c[{circuit.n_cbits}];",
     ]
     for gate in circuit.gates:
-        if gate.kind == H:
-            lines.append(f"h q[{gate.qubit}];")
-        elif gate.kind == X:
-            lines.append(f"x q[{gate.qubit}];")
-        elif gate.kind == RX:
-            lines.append(f"rx({_format_angle(gate.theta)}) q[{gate.qubit}];")
-        elif gate.kind == CX:
-            lines.append(f"cx q[{gate.qubit}],q[{gate.target}];")
-        elif gate.kind == BARRIER:
-            lines.append("barrier q;")
-        elif gate.kind == MEASURE:
-            lines.append(f"measure q[{gate.qubit}] -> c[{gate.cbit}];")
-        else:  # pragma: no cover - Gate validation forbids this
-            raise ValueError(f"cannot serialise gate kind {gate.kind!r}")
+        angle = None if gate.theta is None else _format_angle(gate.theta)
+        lines.append(_STATEMENTS[gate.kind][0].format_map({**vars(gate), "theta": angle}) + ";")
     return "\n".join(lines) + "\n"
-
-
-_QASM_PATTERNS = (
-    (re.compile(r"h\s+q\[(\d+)\]"), lambda m: Gate.h(int(m.group(1)))),
-    (re.compile(r"x\s+q\[(\d+)\]"), lambda m: Gate.x(int(m.group(1)))),
-    (re.compile(r"rx\(([^)]+)\)\s+q\[(\d+)\]"), lambda m: Gate.rx(int(m.group(2)), _parse_angle(m.group(1)))),
-    (re.compile(r"cx\s+q\[(\d+)\]\s*,\s*q\[(\d+)\]"), lambda m: Gate.cx(int(m.group(1)), int(m.group(2)))),
-    (re.compile(r"barrier\s+q"), lambda m: Gate.barrier()),
-    (re.compile(r"measure\s+q\[(\d+)\]\s*->\s*c\[(\d+)\]"), lambda m: Gate.measure(int(m.group(1)), int(m.group(2)))),
-)
 
 
 def parse_qasm(text: str) -> Circuit:
@@ -250,10 +235,12 @@ def parse_qasm(text: str) -> Circuit:
         if m:
             n_cbits = int(m.group(1))
             continue
-        for pattern, build in _QASM_PATTERNS:
-            m = pattern.fullmatch(stmt)
+        for kind, (_, pattern) in _STATEMENTS.items():
+            m = re.fullmatch(pattern, stmt)
             if m:
-                gates.append(build(m))
+                fields = {name: _parse_angle(value) if name == "theta" else int(value)
+                          for name, value in m.groupdict().items()}
+                gates.append(Gate(kind, **fields))
                 break
         else:
             raise ValueError(f"cannot parse statement {stmt!r}")

@@ -57,8 +57,8 @@ def render(text_format: str, header, rows, payload, path: str | None) -> None:
 def write_text_atomic(path: str, text: str) -> None:
     """Write text to ``path`` via a same-directory temp file and atomic rename.
 
-    The file is created like ``open`` creates one, with mode 0o666 less the
-    umask, and its data reaches the disk (fsync) before the rename.
+    It is created like ``open`` creates a file (mode 0o666 less the umask)
+    and reaches the disk (fsync) before the rename, its directory entry after.
     """
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".qpigeon-{os.urandom(8).hex()}.tmp")
@@ -73,3 +73,9 @@ def write_text_atomic(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    if hasattr(os, "O_DIRECTORY"):
+        dir_fd = os.open(directory, os.O_RDONLY | os.O_DIRECTORY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)

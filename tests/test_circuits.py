@@ -12,9 +12,7 @@ from qpigeon.amplitudes import FinalStateLabel, amplitude_table
 from qpigeon.circuits import (
     NoiseModel,
     ShotHistogram,
-    grouped_csv,
     grouped_expected,
-    histogram_csv,
     histogram_json,
     postselect_group,
     sample_shots,
@@ -459,11 +457,12 @@ def test_qasm_parse_rejects_unknown_input():
         parse_qasm("OPENQASM 3.0;\nqreg q[1];\ncreg c[1];")
     with pytest.raises(ValueError):
         parse_qasm("h q[0];")
-
-
-def test_histogram_csv_schema():
-    hist = ShotHistogram(counts={"01": 3, "00": 5}, shots=8, seed=9)
-    assert histogram_csv(hist) == "bitstring,count\n00,5\n01,3\n"
+    # one malformed statement per gate kind: a statement pattern that matches
+    # too much would let one of them through
+    for statement in ("h q", "x q[]", "rx q[0]", "rx(pi/3) q[0]", "cx q[0]", "barrier",
+                      "measure q[0] c[0]", "h q[0] extra"):
+        with pytest.raises(ValueError):
+            parse_qasm(f"OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\n{statement};")
 
 
 def test_histogram_json_schema():
@@ -476,24 +475,6 @@ def test_histogram_json_schema():
         "counts": {"00": 5, "01": 3},
     }
     assert list(payload["counts"]) == ["00", "01"]
-
-
-def test_grouped_csv_schema():
-    hist = sample_shots(pair_check_circuit(), 64, seed=2)
-    groups = postselect_group(hist, PIGEON_CBITS, PAIR_CHECK_ANCILLA_CBITS)
-    expected = grouped_expected(
-        simulate_ideal(pair_check_circuit()), PIGEON_CBITS, PAIR_CHECK_ANCILLA_CBITS
-    )
-    text = grouped_csv(groups, expected)
-    lines = text.strip().split("\n")
-    assert lines[0] == "pigeon_state,ancilla_pattern,count,expected_probability"
-    total = 0
-    for line in lines[1:]:
-        pigeon, ancilla, count, prob = line.split(",")
-        assert len(pigeon) == 3 and len(ancilla) == 1
-        total += int(count)
-        assert float(prob) == pytest.approx(0.125, abs=1e-12)
-    assert total == 64
 
 
 def test_write_text_atomic(tmp_path):
@@ -513,6 +494,23 @@ def test_write_text_atomic_honours_umask(tmp_path):
     finally:
         os.umask(previous)
     assert stat.S_IMODE(target.stat().st_mode) == 0o644
+
+
+@pytest.mark.skipif(not hasattr(os, "O_DIRECTORY"), reason="directories cannot be opened for fsync here")
+def test_write_text_atomic_syncs_the_file_then_its_directory(tmp_path, monkeypatch):
+    synced = []
+    real_fsync = os.fsync
+
+    def recording_fsync(fd):
+        synced.append((fd, stat.S_ISDIR(os.fstat(fd).st_mode)))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    write_text_atomic(str(tmp_path / "out.csv"), "a,b\n")
+    assert [is_dir for _, is_dir in synced] == [False, True]
+    for fd, _ in synced:
+        with pytest.raises(OSError):
+            os.fstat(fd)
 
 
 def test_histogram_keys_have_register_width():
