@@ -3,10 +3,10 @@
 simulate_ideal gives a circuit's exact outcome distribution and sample_shots
 a seeded shot histogram, with an optional readout-noise model; the rest
 groups outcomes by pigeon and ancilla bits.  The command line renders its
-documents itself; histogram_json stays here because perfbench/ reads it.  The
-Circuit type, the two experiment circuits and the QASM text live in gates,
-which needs no numpy; Circuit, all_same_check_circuit and its cbit tuples
-are re-exported here, where perfbench/ reads them.
+own documents; only histogram_json, which perfbench/ reads, renders here.
+The Circuit type, the two experiment circuits and the QASM text live in
+gates, which needs no numpy; Circuit, all_same_check_circuit and its cbit
+tuples are re-exported here, where perfbench/ reads them.
 
 Readout keys are bitstrings over the classical register with the highest
 classical bit leftmost; classical bits never written by a measurement read 0.

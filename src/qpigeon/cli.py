@@ -117,7 +117,7 @@ def _cmd_sample(args) -> int:
     header, rows = ("bitstring", "count"), payload["counts"].items()
     if args.group:
         groups = circ_mod.postselect_group(hist, gates.PIGEON_CBITS, ancilla_cbits)
-        # the CSV holds one row per cell seen, next to the cell's ideal probability
+        # the CSV holds one row per cell, next to the cell's ideal probability
         ideal = circ_mod.simulate_ideal(circuit)
         expected = circ_mod.grouped_expected(ideal, gates.PIGEON_CBITS, ancilla_cbits)
         header = ("pigeon_state", "ancilla_pattern", "count", "expected_probability")
