@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import stat
 import tracemalloc
 from pathlib import Path
@@ -22,6 +23,7 @@ from qpigeon.gates import (
     ALL_SAME_ANCILLA_CBITS,
     PAIR_CHECK_ANCILLA_CBITS,
     PIGEON_CBITS,
+    _STATEMENTS,
     Circuit,
     Gate,
     all_same_check_circuit,
@@ -442,6 +444,12 @@ def test_qasm_round_trip():
         assert parse_qasm(export_qasm(circuit)) == circuit
     mixed = Circuit(3, 2, (Gate.x(2), Gate.rx(0, 0.375), Gate.barrier(), Gate.measure(0, 1)))
     assert parse_qasm(export_qasm(mixed)) == mixed
+
+
+def test_qasm_statement_templates_and_patterns_name_the_same_operands():
+    # export fills a template's fields and parse reads a pattern's groups
+    for template, pattern in _STATEMENTS.values():
+        assert re.findall(r"\{(\w+)\}", template) == list(re.compile(pattern).groupindex)
 
 
 def test_qasm_round_trip_ignores_whitespace_and_comments():

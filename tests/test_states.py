@@ -1,10 +1,11 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from qpigeon.gates import Gate
+from qpigeon.gates import _STATEMENTS, Gate
 from qpigeon.states import (
     StateVector,
     apply_gate,
@@ -99,14 +100,23 @@ def test_gate_validation():
         Gate.cx(1, 1)
     with pytest.raises(ValueError):
         Gate.rx(0, math.inf)
-    with pytest.raises(ValueError):
-        Gate("H", qubit=-1)
-    with pytest.raises(ValueError):
-        Gate("H", qubit=0, theta=0.5)
-    with pytest.raises(ValueError):
-        Gate("BARRIER", qubit=0)
-    with pytest.raises(ValueError):
-        Gate("MEASURE", qubit=0)  # missing cbit
+    # each kind takes exactly the operands its QASM statement names
+    values = {"qubit": 0, "target": 1, "theta": 0.5, "cbit": 2}
+    for kind, (template, _) in _STATEMENTS.items():
+        takes = {name: values[name] for name in re.findall(r"\{(\w+)\}", template)}
+        assert Gate(kind, **takes).kind == kind
+        for name in values:
+            if name in takes:
+                fewer = {key: value for key, value in takes.items() if key != name}
+                with pytest.raises(ValueError):
+                    Gate(kind, **fewer)
+            else:
+                with pytest.raises(ValueError):
+                    Gate(kind, **takes, **{name: values[name]})
+        for name in takes.keys() - {"theta"}:
+            for bad in (-1,):
+                with pytest.raises(ValueError):
+                    Gate(kind, **{**takes, name: bad})
 
 
 def test_hadamard_on_zero():
