@@ -11,12 +11,15 @@ register, validated on construction.  Two builders mirror the experiment:
   ancilla pattern 00 singles out "all three in one box".
 
 export_qasm and parse_qasm write and read the OpenQASM 2.0 subset these
-circuits use from one table of statements.  Everything here is plain data
-and text and needs only the standard library; states applies the gates and
-circuits simulates and samples the circuits, both with numpy.
+circuits use from one table of statements, whose fields also declare the
+operands each gate kind takes; Gate, Circuit and states.apply_gate check
+gates against it.  Everything here is plain data and text and needs only
+the standard library; states applies the gates and circuits simulates and
+samples the circuits, both with numpy.
 """
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 
@@ -35,6 +38,8 @@ _STATEMENTS = {
     BARRIER: ("barrier q", r"barrier\s+q"),
     MEASURE: ("measure q[{qubit}] -> c[{cbit}]", r"measure\s+q\[(?P<qubit>\d+)\]\s*->\s*c\[(?P<cbit>\d+)\]"),
 }
+# the operands each kind takes: the fields of its statement text
+_OPERANDS = {kind: re.findall(r"\{(\w+)\}", text) for kind, (text, _) in _STATEMENTS.items()}
 
 PIGEON_CBITS = (0, 1, 2)
 PAIR_CHECK_ANCILLA_CBITS = (3,)
@@ -48,6 +53,7 @@ class Gate:
     ``qubit`` is the control for CX and the measured qubit for MEASURE.
     ``target`` is only set for CX, ``theta`` only for RX, ``cbit`` only for
     MEASURE.  A BARRIER carries no indices and acts on the whole register.
+    Indices are nonnegative integers and ``theta`` is finite.
     """
 
     kind: str
@@ -59,29 +65,18 @@ class Gate:
     def __post_init__(self):
         if self.kind not in _STATEMENTS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        if self.kind == BARRIER:
-            if (self.qubit, self.target, self.theta, self.cbit) != (None, None, None, None):
-                raise ValueError("BARRIER takes no operands")
-            return
-        if self.qubit is None or self.qubit < 0:
-            raise ValueError(f"{self.kind} needs a nonnegative qubit index")
-        if self.kind == CX:
-            if self.target is None or self.target < 0:
-                raise ValueError("CX needs a nonnegative target index")
-            if self.target == self.qubit:
-                raise ValueError("CX control and target must differ")
-        elif self.target is not None:
-            raise ValueError(f"{self.kind} takes no target")
-        if self.kind == RX:
-            if self.theta is None or not math.isfinite(self.theta):
-                raise ValueError("RX needs a finite angle")
-        elif self.theta is not None:
-            raise ValueError(f"{self.kind} takes no angle")
-        if self.kind == MEASURE:
-            if self.cbit is None or self.cbit < 0:
-                raise ValueError("MEASURE needs a nonnegative classical bit index")
-        elif self.cbit is not None:
-            raise ValueError(f"{self.kind} takes no classical bit")
+        for name in ("qubit", "target", "theta", "cbit"):
+            value = getattr(self, name)
+            if name not in _OPERANDS[self.kind]:
+                if value is not None:
+                    raise ValueError(f"{self.kind} takes no {name}")
+            elif name == "theta":
+                if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                    raise ValueError(f"{self.kind} needs a finite theta")
+            elif not isinstance(value, numbers.Integral) or value < 0:
+                raise ValueError(f"{self.kind} needs a nonnegative integer {name}")
+        if self.kind == CX and self.target == self.qubit:
+            raise ValueError("CX control and target must differ")
 
     @classmethod
     def h(cls, qubit: int) -> "Gate":
@@ -122,19 +117,20 @@ class Circuit:
         gates = tuple(self.gates)
         seen_cbits = set()
         for gate in gates:
-            if gate.kind == BARRIER:
-                continue
-            if gate.qubit >= self.n_qubits:
-                raise ValueError(f"gate {gate} addresses qubit {gate.qubit} outside register")
-            if gate.kind == CX and gate.target >= self.n_qubits:
-                raise ValueError(f"gate {gate} addresses target {gate.target} outside register")
+            _check_fits(gate, self.n_qubits, self.n_cbits)
             if gate.kind == MEASURE:
-                if gate.cbit >= self.n_cbits:
-                    raise ValueError(f"gate {gate} addresses classical bit {gate.cbit} outside register")
                 if gate.cbit in seen_cbits:
                     raise ValueError(f"classical bit {gate.cbit} written twice")
                 seen_cbits.add(gate.cbit)
         object.__setattr__(self, "gates", gates)
+
+
+def _check_fits(gate: Gate, n_qubits: int, n_cbits: int) -> None:
+    """Raise ValueError if an index of the gate lies outside its register of n_qubits or n_cbits."""
+    for name, size in (("qubit", n_qubits), ("target", n_qubits), ("cbit", n_cbits)):
+        index = getattr(gate, name)
+        if index is not None and index >= size:
+            raise ValueError(f"gate {gate} addresses {name} {index} outside a register of {size}")
 
 
 def pair_check_circuit() -> Circuit:
@@ -210,30 +206,26 @@ def export_qasm(circuit: Circuit) -> str:
 def parse_qasm(text: str) -> Circuit:
     """Parse the OpenQASM 2.0 subset emitted by export_qasm.
 
-    Accepts exactly one q register and one c register plus the gate set
+    The first statement must be ``OPENQASM 2.0``, and the only include
+    accepted is ``include "qelib1.inc"``.  One q register and one c register
+    must each be declared exactly once, and the gates are those of
     {h, x, rx, cx, barrier, measure}; anything else raises ValueError.
     Round-tripping export_qasm output reproduces the gate list.
     """
-    n_qubits = n_cbits = None
+    sizes: dict[str, int] = {}
     gates: list[Gate] = []
-    body = re.sub(r"//[^\n]*", "", text)
-    for raw in body.split(";"):
-        stmt = " ".join(raw.split())
-        if not stmt:
+    statements = [" ".join(raw.split()) for raw in re.sub(r"//[^\n]*", "", text).split(";")]
+    statements = [stmt for stmt in statements if stmt]
+    if statements[:1] != ["OPENQASM 2.0"]:
+        raise ValueError("the first statement must be OPENQASM 2.0")
+    for stmt in statements[1:]:
+        if stmt == 'include "qelib1.inc"':
             continue
-        if stmt.startswith("OPENQASM"):
-            if stmt != "OPENQASM 2.0":
-                raise ValueError(f"unsupported version statement {stmt!r}")
-            continue
-        if stmt.startswith("include"):
-            continue
-        m = re.fullmatch(r"qreg q\[(\d+)\]", stmt)
+        m = re.fullmatch(r"(qreg q|creg c)\[(\d+)\]", stmt)
         if m:
-            n_qubits = int(m.group(1))
-            continue
-        m = re.fullmatch(r"creg c\[(\d+)\]", stmt)
-        if m:
-            n_cbits = int(m.group(1))
+            if m.group(1) in sizes:
+                raise ValueError(f"second declaration {stmt!r}")
+            sizes[m.group(1)] = int(m.group(2))
             continue
         for kind, (_, pattern) in _STATEMENTS.items():
             m = re.fullmatch(pattern, stmt)
@@ -244,6 +236,6 @@ def parse_qasm(text: str) -> Circuit:
                 break
         else:
             raise ValueError(f"cannot parse statement {stmt!r}")
-    if n_qubits is None or n_cbits is None:
+    if len(sizes) < 2:
         raise ValueError("missing qreg or creg declaration")
-    return Circuit(n_qubits, n_cbits, tuple(gates))
+    return Circuit(sizes["qreg q"], sizes["creg c"], tuple(gates))

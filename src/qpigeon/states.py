@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gates import BARRIER, CX, H, MEASURE, RX, X, Gate  # noqa: F401 - perfbench/ reads states.RX
+from .gates import BARRIER, CX, H, MEASURE, RX, X, Gate, _check_fits  # noqa: F401 - perfbench/ reads states.RX
 
 MAX_QUBITS = 24
 
@@ -249,12 +249,8 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
         raise ValueError("apply_gate handles unitaries only; measurement lives in the circuit layer")
     if gate.kind == BARRIER:
         return state
-    n = state.n_qubits
-    if gate.qubit >= n:
-        raise ValueError(f"qubit {gate.qubit} out of range for {n}-qubit state")
-    if gate.kind == CX and gate.target >= n:
-        raise ValueError(f"target {gate.target} out of range for {n}-qubit state")
-    return _evolve(n, (gate,), state)
+    _check_fits(gate, state.n_qubits, 0)
+    return _evolve(state.n_qubits, (gate,), state)
 
 
 def inner_product(bra: StateVector, ket: StateVector) -> complex:

@@ -465,6 +465,13 @@ def test_qasm_parse_rejects_unknown_input():
         parse_qasm("OPENQASM 3.0;\nqreg q[1];\ncreg c[1];")
     with pytest.raises(ValueError):
         parse_qasm("h q[0];")
+    # the header comes first, the only include is qelib1.inc, and each register is declared once
+    for text in ("qreg q[1];\ncreg c[1];\nh q[0];",
+                 'OPENQASM 2.0;\ninclude "other.inc";\nqreg q[1];\ncreg c[1];',
+                 "OPENQASM 2.0;\nqreg q[2];\nqreg q[3];\ncreg c[1];",
+                 "OPENQASM 2.0;\nqreg q[2];\ncreg c[1];\ncreg c[4];"):
+        with pytest.raises(ValueError):
+            parse_qasm(text)
     # one malformed statement per gate kind: a statement pattern that matches
     # too much would let one of them through
     for statement in ("h q", "x q[]", "rx q[0]", "rx(pi/3) q[0]", "cx q[0]", "barrier",

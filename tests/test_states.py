@@ -114,9 +114,11 @@ def test_gate_validation():
                 with pytest.raises(ValueError):
                     Gate(kind, **takes, **{name: values[name]})
         for name in takes.keys() - {"theta"}:
-            for bad in (-1,):
+            for bad in (-1, 1.5, 2.0, "1"):
                 with pytest.raises(ValueError):
                     Gate(kind, **{**takes, name: bad})
+    # any integral type is an index
+    assert apply_gate(basis_state(3, 0), Gate.h(np.int64(2))) == apply_gate(basis_state(3, 0), Gate.h(2))
 
 
 def test_hadamard_on_zero():
