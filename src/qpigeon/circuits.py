@@ -13,12 +13,18 @@ classical bit leftmost; classical bits never written by a measurement read 0.
 Both functions take outcomes from _distribution as integers over the measured
 bits alone.  Sampling is reproducible: Philox streams keyed by the seed drive
 an inverse-CDF draw over them, so equal inputs give byte-identical histograms
-on any platform.  Shots are drawn in chunks of CHUNK through a guide table
-(Chen and Asau, 1974), with a binary search only where a bucket holds a CDF
-step; memory stays O(CHUNK) plus one count per outcome for any shot count.
+on any platform.  Shots are drawn in pieces of CHUNK, two at a time on two
+threads, each piece moved to its stretch of the streams by Philox's counter
+(Salmon et al., SC'11), through a guide table (Chen and Asau, 1974) with a
+binary search only where a bucket holds a CDF step; readout flips compare
+raw words against an exact integer bound.  Memory stays O(CHUNK) plus one
+count per outcome for any shot count, and the counts do not depend on the
+order in which the threads add them.
 """
 
 import math
+import numbers
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +40,8 @@ from .states import _evolve, apply_gate  # noqa: F401
 # zero-probability bitstrings (exact zeros up to roundoff) never get a key
 _PROB_FLOOR = 1e-14
 
-# shots drawn per pass of the sampler; it bounds sample_shots' working memory
-CHUNK = 1 << 16
+# shots per piece of the sampler; two pieces in flight bound sample_shots' working memory
+CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -166,6 +172,17 @@ def _draw_outcomes(cdf: np.ndarray, guide: np.ndarray, uniforms: np.ndarray) -> 
     return picks
 
 
+def _flip_limit(p: float) -> np.uint64:
+    """The raw Philox word bound below which a readout bit flips: ``raw < limit`` exactly when ``u < p``.
+
+    numpy's uniform is ``u = (raw >> 11) * 2**-53``, so ``u < p`` holds exactly
+    when the integer ``raw >> 11`` is below ``ceil(p * 2**53)``, that is when
+    ``raw`` is below that bound shifted left by 11.  For p in [0, 1) it fits
+    in 64 bits.
+    """
+    return np.uint64(math.ceil(math.ldexp(p, 53)) << 11)
+
+
 def sample_shots(circuit: Circuit, shots: int, seed: int, noise: NoiseModel | None = None) -> ShotHistogram:
     """Draw ``shots`` outcomes reproducibly and return their histogram.
 
@@ -174,37 +191,74 @@ def sample_shots(circuit: Circuit, shots: int, seed: int, noise: NoiseModel | No
     gives one uniform per shot; the readout stream (used only if ``noise``
     is given) continues where ``shots`` outcome uniforms end and gives one
     uniform per shot and measured bit, in ascending classical bit order,
-    each below the flip probability flipping its bit.  Both streams are
-    consumed in chunks of CHUNK shots: each uniform finds its outcome by a
-    guide-table lookup, and each chunk's counts join one tally: per support
-    outcome without noise, per measured-bit pattern (at most 2**24) with it,
-    so memory is O(CHUNK) plus the tally.  Same (circuit, shots, seed,
-    noise) gives a byte-identical histogram everywhere.
+    each below the flip probability flipping its bit.  Shots run in pieces
+    of CHUNK, the even pieces on the calling thread and the odd ones on one
+    helper thread; each piece positions its own Philox at its stretch of
+    both streams with ``advance``.  A uniform finds its outcome by a
+    guide-table lookup, and a flip is the exact integer test
+    ``raw < ceil(p * 2**53) << 11`` on the raw 64-bit draw, which holds
+    exactly when the uniform ``(raw >> 11) * 2**-53`` is below p.  Each
+    piece's counts join one tally under a lock: per support outcome without
+    noise, per measured-bit pattern (at most 2**24) with it.  Integer sums
+    commute, so the schedule does not change the counts, and memory is
+    O(CHUNK) plus the tally.  Same (circuit, shots, seed, noise) gives a
+    byte-identical histogram everywhere.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must fit in 64 bits, got {seed}")
+    if not isinstance(shots, numbers.Integral) or shots < 1:
+        raise ValueError(f"shots must be an integer >= 1, got {shots!r}")
+    if not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an integer that fits in 64 bits, got {seed!r}")
     cbits, patterns, weights = _distribution(circuit)
     cdf = np.cumsum(weights / weights.sum())
     cdf[-1] = 1.0
     guide = _guide_table(cdf)
-    outcomes = np.random.Generator(np.random.Philox(key=seed))
+    k = len(cbits)
     if noise is not None:
-        # Philox yields four doubles per counter step: skip the outcome draws
-        flips = np.random.Generator(np.random.Philox(key=seed))
-        flips.bit_generator.advance(shots // 4)
-        flips.random(shots % 4)
+        limit = _flip_limit(noise.readout_flip_prob)
     # noiseless: the count of each support index; noisy: the count of each pattern
-    tally = np.zeros(len(patterns) if noise is None else 1 << len(cbits), dtype=np.int64)
-    for start in range(0, shots, CHUNK):
-        size = min(CHUNK, shots - start)
-        drawn = _draw_outcomes(cdf, guide, outcomes.random(size))
-        if noise is None:
-            tally += np.bincount(drawn, minlength=len(patterns))
-            continue
-        flipped = flips.random((size, len(cbits))) < noise.readout_flip_prob
-        np.add.at(tally, patterns[drawn] ^ (flipped @ (1 << np.arange(len(cbits)))), 1)
+    tally = np.zeros(len(patterns) if noise is None else 1 << k, dtype=np.int64)
+    lock = threading.Lock()
+
+    def work(first: int) -> None:
+        for start in range(first, shots, 2 * CHUNK):
+            size = min(CHUNK, shots - start)
+            # Philox yields four 64-bit words per counter step, and CHUNK is a multiple of 4
+            outcomes = np.random.Philox(key=seed)
+            outcomes.advance(start // 4)
+            drawn = _draw_outcomes(cdf, guide, np.random.Generator(outcomes).random(size))
+            if noise is None:
+                counts = np.bincount(drawn, minlength=len(patterns))
+                with lock:
+                    np.add(tally, counts, out=tally)
+                continue
+            flips = np.random.Philox(key=seed)
+            pos = shots + start * k
+            flips.advance(pos // 4)
+            flips.random_raw(pos % 4)
+            hits = np.flatnonzero(flips.random_raw(size * k) < limit)
+            codes = patterns[drawn]
+            np.bitwise_xor.at(codes, hits // k, 1 << (hits % k))
+            with lock:
+                np.add.at(tally, codes, 1)
+
+    errors: list[BaseException] = []
+
+    def helper() -> None:
+        try:
+            work(CHUNK)
+        except BaseException as exc:
+            errors.append(exc)
+
+    thread = threading.Thread(target=helper) if shots > CHUNK else None
+    if thread is not None:
+        thread.start()
+    try:
+        work(0)
+    finally:
+        if thread is not None:
+            thread.join()
+    if errors:
+        raise errors[0]
     seen = np.flatnonzero(tally)
     keys = _bitstrings(patterns[seen] if noise is None else seen, cbits, circuit.n_cbits)
     return ShotHistogram(counts=dict(zip(keys, tally[seen].tolist())), shots=shots, seed=seed, noise=noise)

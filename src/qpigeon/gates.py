@@ -112,8 +112,9 @@ class Circuit:
     gates: tuple[Gate, ...]
 
     def __post_init__(self):
-        if self.n_qubits < 1 or self.n_cbits < 0:
-            raise ValueError("need at least one qubit and a nonnegative classical bit count")
+        sizes = (self.n_qubits, self.n_cbits)
+        if not all(isinstance(size, numbers.Integral) for size in sizes) or self.n_qubits < 1 or self.n_cbits < 0:
+            raise ValueError(f"need integer register sizes, at least one qubit and no negative cbit count: {sizes}")
         gates = tuple(self.gates)
         seen_cbits = set()
         for gate in gates:

@@ -101,6 +101,11 @@ def test_circuit_validation():
         Circuit(2, 2, (Gate.measure(0, 0), Gate.measure(1, 0)))
     with pytest.raises(ValueError):
         Circuit(0, 0, ())
+    # register sizes follow the index rule of Gate: integers only
+    for n_qubits, n_cbits in ((2.5, 1), (3, 1.5), (3.0, 1), ("3", 1)):
+        with pytest.raises(ValueError):
+            Circuit(n_qubits, n_cbits, (Gate.h(2), Gate.measure(0, 0)))
+    assert Circuit(np.int64(3), np.int64(1), (Gate.h(2), Gate.measure(0, 0))).n_qubits == 3
 
 
 def test_noise_model_validation():
@@ -370,6 +375,11 @@ def test_sample_validation():
         sample_shots(circuit, 10, seed=-1)
     with pytest.raises(ValueError):
         sample_shots(circuit, 10, seed=2**64)
+    # not only out-of-range values: a float shot count or seed is refused, not truncated
+    for shots, seed in ((10.0, 1), (10, 1.5), (10, 1.0), ("10", 1), (10, "1")):
+        with pytest.raises(ValueError):
+            sample_shots(circuit, shots, seed)
+    assert sample_shots(circuit, np.int64(10), np.uint64(3)).counts == sample_shots(circuit, 10, 3).counts
 
 
 def test_postselect_group_on_ideal_pair_check_histogram():

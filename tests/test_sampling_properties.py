@@ -2,10 +2,12 @@
 
 The oracle is the one-shot sampler that preceded the chunked one: one
 Philox stream, all outcome uniforms first, a binary search per shot, then
-all readout-flip uniforms as one (shots, measured bits) block.
+all readout-flip uniforms as one (shots, measured bits) block, compared
+with the flip probability as floats.
 """
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -14,8 +16,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qpigeon.circuits import CHUNK, NoiseModel, _draw_outcomes, _guide_table, sample_shots, simulate_ideal
-from qpigeon.gates import MEASURE, Circuit, Gate
+from qpigeon.circuits import CHUNK, NoiseModel, _draw_outcomes, _flip_limit, _guide_table, sample_shots, simulate_ideal
+from qpigeon.gates import MEASURE, Circuit, Gate, all_same_check_circuit
 
 
 def one_shot_counts(circuit: Circuit, shots: int, seed: int, noise: NoiseModel | None) -> dict[str, int]:
@@ -89,6 +91,9 @@ WIDE_NOISY = Circuit(3, 70, (
 @given(circuits(), shot_counts, seeds, noises)
 @example(WIDE_NOISY, 2 * CHUNK + 3, 7, NoiseModel(0.1))
 @example(WIDE_NOISY, 2 * CHUNK + 3, 7, NoiseModel(0.5))
+# five measured bits: every piece after the first starts its flips at
+# shots + start * 5, which is 1 mod 4, inside a Philox block
+@example(all_same_check_circuit(), 3 * CHUNK + 1, 11, NoiseModel(0.02))
 def test_counts_match_one_shot_oracle(circuit, shots, seed, noise):
     hist = sample_shots(circuit, shots, seed, noise)
     assert hist.counts == one_shot_counts(circuit, shots, seed, noise)
@@ -145,3 +150,59 @@ def test_wide_skewed_support_matches_one_shot_oracle():
     circuit = Circuit(n, n, tuple([Gate.rx(q, 0.05) for q in range(n)] + [Gate.measure(q, q) for q in range(n)]))
     for noise in (None, NoiseModel(0.01)):
         assert sample_shots(circuit, 2 * CHUNK + 5, 7, noise).counts == one_shot_counts(circuit, 2 * CHUNK + 5, 7, noise)
+
+
+FLIP_PROBS = (0.0, 5e-324, 2.0**-53, 0.02, 0.5, 1.0 - 2.0**-53)
+
+
+@pytest.mark.parametrize("p", FLIP_PROBS)
+@pytest.mark.parametrize("offset", range(4))
+def test_integer_flip_test_equals_the_float_one(p, offset):
+    # a Philox moved to word `offset` by advance and discarded raw words, as a
+    # piece moves its flip stream, against a Generator that draws up to it
+    seed, n = 2024, 4096
+    moved = np.random.Philox(key=seed)
+    moved.advance(offset // 4)
+    moved.random_raw(offset % 4)
+    raw = moved.random_raw(n)
+    drawn = np.random.Generator(np.random.Philox(key=seed))
+    drawn.random(offset)
+    uniforms = drawn.random(n)
+    assert np.array_equal((raw >> np.uint64(11)) * 2.0**-53, uniforms)
+    limit = _flip_limit(p)
+    assert np.array_equal(raw < limit, uniforms < p)
+    # random words seldom land next to the bound: try the words around it
+    near = np.array([int(limit) + d for d in (-2049, -2048, -1, 0, 1, 2047, 2048) if 0 <= int(limit) + d < 2**64],
+                    dtype=np.uint64)
+    assert np.array_equal(near < limit, (near >> np.uint64(11)) * 2.0**-53 < p)
+
+
+@pytest.mark.parametrize("failing_piece", [0, 1, 2])
+def test_an_error_in_any_piece_is_raised_and_leaves_no_thread(monkeypatch, failing_piece):
+    # piece 1 runs on the helper thread, pieces 0 and 2 on the caller
+    seed = 5
+    first_uniform = np.random.Generator(np.random.Philox(key=seed)).random(3 * CHUNK)[failing_piece * CHUNK]
+    def draw(cdf, guide, uniforms):
+        if uniforms[0] == first_uniform:
+            raise RuntimeError(f"piece {failing_piece}")
+        return _draw_outcomes(cdf, guide, uniforms)
+
+    monkeypatch.setattr("qpigeon.circuits._draw_outcomes", draw)
+    before = threading.active_count()
+    for noise in (None, NoiseModel(0.02)):
+        with pytest.raises(RuntimeError, match=f"piece {failing_piece}"):
+            sample_shots(all_same_check_circuit(), 3 * CHUNK, seed, noise)
+        assert threading.active_count() == before
+
+
+def test_only_runs_of_more_than_chunk_shots_start_the_helper(monkeypatch):
+    threads = set()
+    def draw(cdf, guide, uniforms):
+        threads.add(threading.get_ident())
+        return _draw_outcomes(cdf, guide, uniforms)
+
+    monkeypatch.setattr("qpigeon.circuits._draw_outcomes", draw)
+    sample_shots(all_same_check_circuit(), CHUNK, 1, NoiseModel(0.02))
+    assert threads == {threading.get_ident()}
+    sample_shots(all_same_check_circuit(), CHUNK + 1, 1, NoiseModel(0.02))
+    assert len(threads) == 2
