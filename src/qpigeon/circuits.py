@@ -208,6 +208,8 @@ def sample_shots(circuit: Circuit, shots: int, seed: int, noise: NoiseModel | No
         raise ValueError(f"shots must be an integer >= 1, got {shots!r}")
     if not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
         raise ValueError(f"seed must be an integer that fits in 64 bits, got {seed!r}")
+    # numpy integers pass, but the histogram holds Python ints, which JSON can write
+    shots, seed = int(shots), int(seed)
     cbits, patterns, weights = _distribution(circuit)
     cdf = np.cumsum(weights / weights.sum())
     cdf[-1] = 1.0

@@ -7,6 +7,7 @@ with the flip probability as floats.
 """
 
 import math
+import sys
 import threading
 
 import numpy as np
@@ -206,3 +207,28 @@ def test_only_runs_of_more_than_chunk_shots_start_the_helper(monkeypatch):
     assert threads == {threading.get_ident()}
     sample_shots(all_same_check_circuit(), CHUNK + 1, 1, NoiseModel(0.02))
     assert len(threads) == 2
+
+
+def test_concurrent_calls_keep_every_count():
+    # more sampling threads than cores, switching often: a lost update to a
+    # shared tally would change some call's counts
+    circuit, shots = all_same_check_circuit(), 4 * CHUNK + 3
+    calls = [(seed, noise) for seed in range(3) for noise in (None, NoiseModel(0.02))]
+    expected = [sample_shots(circuit, shots, seed, noise).counts for seed, noise in calls]
+    results = [None] * len(calls)
+
+    def run(i):
+        results[i] = sample_shots(circuit, shots, *calls[i]).counts
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(calls))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == expected
