@@ -183,6 +183,7 @@ def test_an_error_in_any_piece_is_raised_and_leaves_no_thread(monkeypatch, faili
     # piece 1 runs on the helper thread, pieces 0 and 2 on the caller
     seed = 5
     first_uniform = np.random.Generator(np.random.Philox(key=seed)).random(3 * CHUNK)[failing_piece * CHUNK]
+
     def draw(cdf, guide, uniforms):
         if uniforms[0] == first_uniform:
             raise RuntimeError(f"piece {failing_piece}")
@@ -198,6 +199,7 @@ def test_an_error_in_any_piece_is_raised_and_leaves_no_thread(monkeypatch, faili
 
 def test_only_runs_of_more_than_chunk_shots_start_the_helper(monkeypatch):
     threads = set()
+
     def draw(cdf, guide, uniforms):
         threads.add(threading.get_ident())
         return _draw_outcomes(cdf, guide, uniforms)
