@@ -248,7 +248,7 @@ def sample_shots(circuit: Circuit, shots: int, seed: int, noise: NoiseModel | No
     def helper() -> None:
         try:
             work(CHUNK)
-        except BaseException as exc:
+        except BaseException as exc:  # re-raised in the caller after the join
             errors.append(exc)
 
     thread = threading.Thread(target=helper) if shots > CHUNK else None
