@@ -129,8 +129,8 @@ def evolution_diagonal(epsilon_t: float) -> tuple[complex, ...]:
     exp(-i*et)*count + (exp(-3i*et) - 3*exp(-i*et))*all_same,
     which also equals exp(-i*et) * (identity + (exp(-2i*et) - 1)*all_same).
     """
-    if not math.isfinite(epsilon_t):
-        raise ValueError("epsilon_t must be finite")
+    if not math.isfinite(3.0 * epsilon_t):
+        raise ValueError(f"epsilon_t and 3 * epsilon_t must be finite, got epsilon_t={epsilon_t!r}")
     phase = cmath.exp(-1j * epsilon_t)
     phase3 = cmath.exp(-3j * epsilon_t)
     big = phase3 - 3.0 * phase

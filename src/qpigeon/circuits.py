@@ -13,13 +13,14 @@ classical bit leftmost; classical bits never written by a measurement read 0.
 Both functions take outcomes from _distribution as integers over the measured
 bits alone.  Sampling is reproducible: Philox streams keyed by the seed drive
 an inverse-CDF draw over them, so equal inputs give byte-identical histograms
-on any platform.  Shots are drawn in pieces of CHUNK, two at a time on two
-threads, each piece moved to its stretch of the streams by Philox's counter
-(Salmon et al., SC'11), through a guide table (Chen and Asau, 1974) with a
-binary search only where a bucket holds a CDF step; readout flips compare
-raw words against an exact integer bound.  Memory stays O(CHUNK) plus one
-count per outcome for any shot count, and the counts do not depend on the
-order in which the threads add them.
+on any platform.  Shots are drawn in pieces of CHUNK, the odd ones on a
+one-worker thread pool whose future carries its error back; _philox starts
+either stream at any word by Philox's counter (Salmon et al., SC'11).
+Outcomes come through a guide table (Chen and Asau, 1974) with a binary
+search only where a bucket holds a CDF step; readout flips compare raw
+words against an exact integer bound.  Both threads add into one tally
+under a lock, so memory stays O(CHUNK) plus one count per outcome, and the
+counts do not depend on the order in which the threads add them.
 """
 
 import math
@@ -183,6 +184,18 @@ def _flip_limit(p: float) -> np.uint64:
     return np.uint64(math.ceil(math.ldexp(p, 53)) << 11)
 
 
+def _philox(seed: int, word: int) -> np.random.Philox:
+    """A Philox keyed by ``seed`` whose next 64-bit word is word ``word`` of its stream.
+
+    ``advance`` moves it to the counter step holding the word (four words a
+    step), and the words before it in that step are drawn and dropped.
+    """
+    bits = np.random.Philox(key=seed)
+    bits.advance(word // 4)
+    bits.random_raw(word % 4)
+    return bits
+
+
 def sample_shots(circuit: Circuit, shots: int, seed: int, noise: NoiseModel | None = None) -> ShotHistogram:
     """Draw ``shots`` outcomes reproducibly and return their histogram.
 
@@ -192,17 +205,17 @@ def sample_shots(circuit: Circuit, shots: int, seed: int, noise: NoiseModel | No
     is given) continues where ``shots`` outcome uniforms end and gives one
     uniform per shot and measured bit, in ascending classical bit order,
     each below the flip probability flipping its bit.  Shots run in pieces
-    of CHUNK, the even pieces on the calling thread and the odd ones on one
-    helper thread; each piece positions its own Philox at its stretch of
-    both streams with ``advance``.  A uniform finds its outcome by a
-    guide-table lookup, and a flip is the exact integer test
-    ``raw < ceil(p * 2**53) << 11`` on the raw 64-bit draw, which holds
-    exactly when the uniform ``(raw >> 11) * 2**-53`` is below p.  Each
-    piece's counts join one tally under a lock: per support outcome without
-    noise, per measured-bit pattern (at most 2**24) with it.  Integer sums
-    commute, so the schedule does not change the counts, and memory is
-    O(CHUNK) plus the tally.  Same (circuit, shots, seed, noise) gives a
-    byte-identical histogram everywhere.
+    of CHUNK, the even ones on the calling thread and, above CHUNK shots,
+    the odd ones on a one-worker ThreadPoolExecutor whose future re-raises
+    its error here; ``_philox`` starts a piece at any word of either stream.
+    A uniform finds its outcome by a guide-table lookup, and a flip is the
+    exact integer test ``raw < ceil(p * 2**53) << 11`` on the raw 64-bit
+    draw, which holds exactly when the uniform ``(raw >> 11) * 2**-53`` is
+    below p.  Each piece's counts join one tally under a lock: per support
+    outcome without noise, per measured-bit pattern (at most 2**24) with
+    it.  Integer sums commute, so the schedule does not change the counts,
+    and memory is O(CHUNK) plus the tally.  Same (circuit, shots, seed,
+    noise) gives a byte-identical histogram everywhere.
     """
     if not isinstance(shots, numbers.Integral) or shots < 1:
         raise ValueError(f"shots must be an integer >= 1, got {shots!r}")
@@ -224,43 +237,28 @@ def sample_shots(circuit: Circuit, shots: int, seed: int, noise: NoiseModel | No
     def work(first: int) -> None:
         for start in range(first, shots, 2 * CHUNK):
             size = min(CHUNK, shots - start)
-            # Philox yields four 64-bit words per counter step, and CHUNK is a multiple of 4
-            outcomes = np.random.Philox(key=seed)
-            outcomes.advance(start // 4)
-            drawn = _draw_outcomes(cdf, guide, np.random.Generator(outcomes).random(size))
+            drawn = _draw_outcomes(cdf, guide, np.random.Generator(_philox(seed, start)).random(size))
             if noise is None:
                 counts = np.bincount(drawn, minlength=len(patterns))
                 with lock:
                     np.add(tally, counts, out=tally)
                 continue
-            flips = np.random.Philox(key=seed)
-            pos = shots + start * k
-            flips.advance(pos // 4)
-            flips.random_raw(pos % 4)
-            hits = np.flatnonzero(flips.random_raw(size * k) < limit)
+            hits = np.flatnonzero(_philox(seed, shots + start * k).random_raw(size * k) < limit)
             codes = patterns[drawn]
             np.bitwise_xor.at(codes, hits // k, 1 << (hits % k))
             with lock:
                 np.add.at(tally, codes, 1)
 
-    errors: list[BaseException] = []
-
-    def helper() -> None:
-        try:
-            work(CHUNK)
-        except BaseException as exc:  # re-raised in the caller after the join
-            errors.append(exc)
-
-    thread = threading.Thread(target=helper) if shots > CHUNK else None
-    if thread is not None:
-        thread.start()
-    try:
+    if shots > CHUNK:
+        # imported here: runs of CHUNK shots or fewer never start the helper
+        from concurrent.futures import ThreadPoolExecutor
+        # leaving the block joins the helper, also when work(0) raises
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            helper = pool.submit(work, CHUNK)
+            work(0)
+        helper.result()
+    else:
         work(0)
-    finally:
-        if thread is not None:
-            thread.join()
-    if errors:
-        raise errors[0]
     seen = np.flatnonzero(tally)
     keys = _bitstrings(patterns[seen] if noise is None else seen, cbits, circuit.n_cbits)
     return ShotHistogram(counts=dict(zip(keys, tally[seen].tolist())), shots=shots, seed=seed, noise=noise)

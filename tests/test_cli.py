@@ -212,6 +212,8 @@ def test_unwritable_output_exits_2_with_one_line(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     pytest.param(["amplitudes", "--epsilon-t", "nan"], id="nan"),
     pytest.param(["amplitudes", "--epsilon-t", "inf"], id="inf"),
+    # finite, but 3 * epsilon_t overflows
+    pytest.param(["amplitudes", "--epsilon-t", "1e308"], id="overflow"),
     pytest.param(["identities", "--tolerance", "nan"], id="identities-nan"),
     pytest.param(["identities", "--tolerance", "inf"], id="identities-inf"),
 ])
@@ -222,6 +224,8 @@ def test_amplitudes_non_finite_coupling_exits_2_with_one_line(capsys, argv):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ")
+    if argv[-1] == "1e308":
+        assert "epsilon_t" in captured.err and "1e+308" in captured.err
 
 
 def test_amplitudes_closed_form_mismatch_exits_1_with_every_row(capsys, monkeypatch):

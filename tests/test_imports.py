@@ -28,22 +28,23 @@ NUMPY_FREE_COMMANDS = (
 )
 
 # runs one CLI command with stdout discarded, then reports its exit code and
-# whether numpy was imported along the way
+# whether the module named first was imported along the way
 RUN_AND_REPORT = """
 import contextlib, io, json, sys
+module = sys.argv[1]
 import qpigeon
-loaded_by_package = "numpy" in sys.modules
+loaded_by_package = module in sys.modules
 from qpigeon import cli
 with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(sys.argv[1:])
-print(json.dumps({"code": code, "package": loaded_by_package, "command": "numpy" in sys.modules}))
+    code = cli.main(sys.argv[2:])
+print(json.dumps({"code": code, "package": loaded_by_package, "command": module in sys.modules}))
 """
 
 
-def run_and_report(command: str) -> dict:
+def run_and_report(command: str, module: str = "numpy") -> dict:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
-        [sys.executable, "-c", RUN_AND_REPORT, *command.split()],
+        [sys.executable, "-c", RUN_AND_REPORT, module, *command.split()],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
@@ -58,6 +59,12 @@ def test_command_runs_without_numpy(command):
 def test_state_vector_commands_do_load_numpy():
     # the check above can fail: a command that simulates does import numpy
     assert run_and_report("simulate --circuit pi")["command"] is True
+
+
+def test_sampling_at_most_chunk_shots_does_not_import_the_thread_pool():
+    # only a run of more than circuits.CHUNK shots starts the helper thread
+    report = run_and_report("sample --circuit p --shots 8192", "concurrent.futures")
+    assert report == {"code": 0, "package": False, "command": False}
 
 
 @pytest.mark.parametrize("name", qpigeon.__all__)

@@ -17,7 +17,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qpigeon.circuits import CHUNK, NoiseModel, _draw_outcomes, _flip_limit, _guide_table, sample_shots, simulate_ideal
+from qpigeon.circuits import CHUNK, NoiseModel, _draw_outcomes, _flip_limit, _guide_table, _philox, sample_shots, simulate_ideal
 from qpigeon.gates import MEASURE, Circuit, Gate, all_same_check_circuit
 
 
@@ -145,6 +145,17 @@ def test_guide_search_equals_binary_search(cdf, seed):
     assert np.array_equal(_draw_outcomes(cdf, guide, uniforms), np.searchsorted(cdf, uniforms, side="right"))
 
 
+@pytest.mark.parametrize("chunk", [6, 1001, 4097])
+@pytest.mark.parametrize("circuit", [all_same_check_circuit(), WIDE_NOISY], ids=["all_same", "wide"])
+@pytest.mark.parametrize("noise", [None, NoiseModel(0.1)], ids=["clean", "noisy"])
+def test_pieces_of_any_size_match_one_shot_oracle(monkeypatch, chunk, circuit, noise):
+    # none of these sizes is a multiple of 4, so most pieces start both of
+    # their streams inside a Philox counter step
+    monkeypatch.setattr("qpigeon.circuits.CHUNK", chunk)
+    shots = 3 * chunk + 2
+    assert sample_shots(circuit, shots, 7, noise).counts == one_shot_counts(circuit, shots, 7, noise)
+
+
 def test_wide_skewed_support_matches_one_shot_oracle():
     # almost all of the weight on 0...0: 386 outcomes above the floor, up to 130 of them in one guide bucket
     n = 10
@@ -157,15 +168,12 @@ FLIP_PROBS = (0.0, 5e-324, 2.0**-53, 0.02, 0.5, 1.0 - 2.0**-53)
 
 
 @pytest.mark.parametrize("p", FLIP_PROBS)
-@pytest.mark.parametrize("offset", range(4))
+@pytest.mark.parametrize("offset", range(8))
 def test_integer_flip_test_equals_the_float_one(p, offset):
-    # a Philox moved to word `offset` by advance and discarded raw words, as a
-    # piece moves its flip stream, against a Generator that draws up to it
+    # the sampler's _philox moved to word `offset`, across two counter steps,
+    # against a Generator that draws up to it
     seed, n = 2024, 4096
-    moved = np.random.Philox(key=seed)
-    moved.advance(offset // 4)
-    moved.random_raw(offset % 4)
-    raw = moved.random_raw(n)
+    raw = _philox(seed, offset).random_raw(n)
     drawn = np.random.Generator(np.random.Philox(key=seed))
     drawn.random(offset)
     uniforms = drawn.random(n)
