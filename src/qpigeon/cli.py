@@ -110,9 +110,10 @@ def _cmd_simulate(args) -> int:
 def _cmd_sample(args) -> int:
     from . import circuits as circ_mod
 
+    seed = _default_seed() if args.seed is None else args.seed
     circuit, ancilla_cbits = _build_circuit(args.circuit)
     noise = None if args.noise_readout is None else circ_mod.NoiseModel(args.noise_readout)
-    hist = circ_mod.sample_shots(circuit, shots=args.shots, seed=args.seed, noise=noise)
+    hist = circ_mod.sample_shots(circuit, shots=args.shots, seed=seed, noise=noise)
     payload = hist.to_dict()
     header, rows = ("bitstring", "count"), payload["counts"].items()
     if args.group:
@@ -210,8 +211,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "sample" and args.seed is None:
-            args.seed = _default_seed()
         return args.func(args)
     except (ValueError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -73,7 +73,7 @@ class Gate:
             elif name == "theta":
                 if not isinstance(value, numbers.Real) or not math.isfinite(value):
                     raise ValueError(f"{self.kind} needs a finite theta")
-            elif not isinstance(value, numbers.Integral) or value < 0:
+            elif not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 0:
                 raise ValueError(f"{self.kind} needs a nonnegative integer {name}")
         if self.kind == CX and self.target == self.qubit:
             raise ValueError("CX control and target must differ")
@@ -113,7 +113,7 @@ class Circuit:
 
     def __post_init__(self):
         sizes = (self.n_qubits, self.n_cbits)
-        if not all(isinstance(size, numbers.Integral) for size in sizes) or self.n_qubits < 1 or self.n_cbits < 0:
+        if not all(isinstance(s, numbers.Integral) and not isinstance(s, bool) for s in sizes) or self.n_qubits < 1 or self.n_cbits < 0:
             raise ValueError(f"need integer register sizes, at least one qubit and no negative cbit count: {sizes}")
         gates = tuple(self.gates)
         seen_cbits = set()

@@ -15,9 +15,9 @@ and the buffer is frozen into a StateVector once, at the end, without a
 copy.  Every gate is one pair view (the two halves of the pairs it mixes)
 and one walk over it, piece by piece: a single-qubit gate uses the same
 complex products and sums as a plain numpy expression, so amplitudes are
-bit-for-bit those of gate-by-gate evaluation, and an in-place CX swaps the
-halves through the scratch.  No 2^n x 2^n gate matrix is materialised,
-and the work buffer is a run's only state-sized allocation.
+bit-for-bit those of gate-by-gate evaluation, and a CX, in place or not,
+swaps the halves through the scratch.  No 2^n x 2^n gate matrix is
+materialised, and the work buffer is a run's only state-sized allocation.
 """
 
 import math
@@ -175,9 +175,9 @@ def _apply(src: np.ndarray, dst: np.ndarray, gate: Gate, n: int, scratch: np.nda
     """Write gate * src into dst; dst may be src, which is then updated in place.
 
     ``scratch`` holds a power of two of amplitudes, at least 2 and at most
-    len(src), and is overwritten.  An out-of-place CX copies its three
-    blocks; every other gate is one walk over the pairs of ``_pairs``, in
-    pieces of at most len(scratch) // 2 pairs.  A single-qubit gate computes
+    len(src), and is overwritten.  Every gate is one walk over the pairs of
+    ``_pairs``, in pieces of at most len(scratch) // 2 pairs, after an
+    out-of-place CX copies the control-0 block.  A single-qubit gate computes
     m00*x0 + m01*x1 and m10*x0 + m11*x1 with the same complex products and
     sums as a plain numpy expression, so amplitudes do not depend on buffers.
     """
@@ -185,9 +185,6 @@ def _apply(src: np.ndarray, dst: np.ndarray, gate: Gate, n: int, scratch: np.nda
     b0, b1, idle_out = _pairs(dst, n, gate)
     if idle is not None and dst is not src:
         np.copyto(idle_out, idle)
-        np.copyto(b0, a1)
-        np.copyto(b1, a0)
-        return
     # all axes and sizes are powers of two, so every piece has one shape
     size = len(scratch) // 2
     highs, mids, lows = a0.shape
@@ -204,7 +201,7 @@ def _apply(src: np.ndarray, dst: np.ndarray, gate: Gate, n: int, scratch: np.nda
                 x0, x1, y0, y1 = a0[where], a1[where], b0[where], b1[where]
                 if idle is not None:
                     # a copy between interleaved pieces of one array would
-                    # make numpy buffer it, so an in-place swap goes through the scratch
+                    # make numpy buffer it, so a swap goes through the scratch
                     np.copyto(t0, x0)
                     np.copyto(t1, x1)
                     np.copyto(y0, t1)

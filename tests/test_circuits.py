@@ -105,6 +105,10 @@ def test_circuit_validation():
     for n_qubits, n_cbits in ((2.5, 1), (3, 1.5), (3.0, 1), ("3", 1)):
         with pytest.raises(ValueError):
             Circuit(n_qubits, n_cbits, (Gate.h(2), Gate.measure(0, 0)))
+    # bool is Integral, but Circuit(True, 1, ()) would export as qreg q[True];
+    for n_qubits, n_cbits in ((True, 1), (2, False)):
+        with pytest.raises(ValueError):
+            Circuit(n_qubits, n_cbits, ())
     assert Circuit(np.int64(3), np.int64(1), (Gate.h(2), Gate.measure(0, 0))).n_qubits == 3
 
 
@@ -477,6 +481,8 @@ def test_qasm_parse_rejects_unknown_input():
         parse_qasm("OPENQASM 3.0;\nqreg q[1];\ncreg c[1];")
     with pytest.raises(ValueError):
         parse_qasm("h q[0];")
+    with pytest.raises(ValueError, match="missing qreg or creg"):
+        parse_qasm('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nh q[0];')
     # the header comes first, the only include is qelib1.inc, and each register is declared once
     for text in ("qreg q[1];\ncreg c[1];\nh q[0];",
                  'OPENQASM 2.0;\ninclude "other.inc";\nqreg q[1];\ncreg c[1];',

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -58,9 +59,18 @@ def test_amplitudes_single_value_json(capsys):
 
 
 def test_amplitudes_rejects_malformed_sweep(capsys):
-    with pytest.raises(SystemExit) as err:
-        cli.main(["amplitudes", "--epsilon-t", "0:1"])
-    assert err.value.code == 2
+    for sweep in ("0:1", "0:1:0", "x:1:3"):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["amplitudes", "--epsilon-t", sweep])
+        assert err.value.code == 2
+
+
+def test_amplitudes_one_step_sweep_is_its_start(capsys):
+    code, out = run_cli(capsys, "amplitudes", "--epsilon-t", "0.5:9:1", "--format", "csv")
+    assert code == 0
+    rows = out.strip().split("\n")[1:]
+    assert len(rows) == 8
+    assert {row.split(",")[0] for row in rows} == {"0.5"}
 
 
 def test_simulate_pair_check(capsys):
@@ -209,6 +219,18 @@ def test_unwritable_output_exits_2_with_one_line(tmp_path, capsys):
     assert captured.err == f"error: cannot write {target}: No such file or directory\n"
 
 
+def test_output_onto_a_directory_exits_2_and_leaves_no_temp_file(tmp_path, capsys):
+    target = tmp_path / "out"
+    target.mkdir()
+    code = cli.main(["identities", "--output", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {target}: Is a directory\n"
+    assert list(tmp_path.iterdir()) == [target]
+    assert list(target.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["amplitudes", "--epsilon-t", "nan"], id="nan"),
     pytest.param(["amplitudes", "--epsilon-t", "inf"], id="inf"),
@@ -232,6 +254,22 @@ def test_amplitudes_non_finite_coupling_exits_2_with_one_line(capsys, argv):
 def test_amplitudes_closed_form_mismatch_exits_1_with_every_row(capsys, monkeypatch):
     exact = amplitudes.closed_form_probability
     monkeypatch.setattr(amplitudes, "closed_form_probability", lambda label, et: exact(label, et) + 1e-9)
+    code = cli.main(["amplitudes", "--epsilon-t", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert len(captured.out.strip().split("\n")) == 1 + 8
+    assert captured.err == ""
+
+
+def test_amplitudes_probability_sum_mismatch_exits_1_with_every_row(capsys, monkeypatch):
+    exact = amplitudes.amplitude_table
+
+    def inflated(et):
+        # closed and numeric agree, so only the sum check can fail
+        return [dataclasses.replace(rec, prob_closed=rec.prob_numeric * 1.001, prob_numeric=rec.prob_numeric * 1.001)
+                for rec in exact(et)]
+
+    monkeypatch.setattr(amplitudes, "amplitude_table", inflated)
     code = cli.main(["amplitudes", "--epsilon-t", "0.5"])
     captured = capsys.readouterr()
     assert code == 1

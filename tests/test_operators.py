@@ -154,6 +154,9 @@ def test_linear_operator_flag_validation():
         LinearOperator(np.eye(2), is_projector=True)  # projector implies hermitian flag
     with pytest.raises(ValueError):
         LinearOperator(np.ones((2, 3)))
+    for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            LinearOperator(np.array([[1.0, 0.0], [0.0, bad]]))
 
 
 def test_apply_operator_keeps_projection_norm():

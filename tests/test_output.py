@@ -1,8 +1,13 @@
 """The output layer renders CSV and JSON with the standard library alone."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from qpigeon import output
 
 OUTPUT_PY = Path(__file__).parent.parent / "src" / "qpigeon" / "output.py"
 
@@ -38,3 +43,13 @@ def test_output_renders_without_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == EXPECTED
+
+
+def test_failed_rename_leaves_no_temp_file(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        output.write_text_atomic(str(tmp_path / "x.csv"), "a,b\n")
+    assert list(tmp_path.iterdir()) == []

@@ -114,7 +114,8 @@ def test_gate_validation():
                 with pytest.raises(ValueError):
                     Gate(kind, **takes, **{name: values[name]})
         for name in takes.keys() - {"theta"}:
-            for bad in (-1, 1.5, 2.0, "1"):
+            # bool is Integral, but Gate.h(True) would export as h q[True];
+            for bad in (-1, 1.5, 2.0, "1", True):
                 with pytest.raises(ValueError):
                     Gate(kind, **{**takes, name: bad})
     # any integral type is an index
