@@ -102,19 +102,23 @@ _UNIFORM = complex(_SQRT_HALF * _SQRT_HALF * _SQRT_HALF)
 _LABEL_AMPS = tuple(_label_amps(label.signs) for label in all_labels())
 
 
-def _matrix_element(label: FinalStateLabel, diag: tuple[complex, ...]) -> complex:
-    """<label| D |uniform> for the box-basis diagonal D, with the bits of the vdot it replaced.
+def _ket(diag: tuple[complex, ...]) -> tuple[complex, ...]:
+    """D |uniform> for the box-basis diagonal D: each entry times the uniform amplitude."""
+    return tuple(d * _UNIFORM for d in diag)
+
+
+def _matrix_element(label: FinalStateLabel, ket: tuple[complex, ...]) -> complex:
+    """<label| ket> for a ket from _ket, with the bits of the vdot it replaced.
 
     Even and odd entries' real products are summed apart, then combined as a
     BLAS dot combines them.
     """
     rr, ii, ri, ir = [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]
-    for k, (bra, d) in enumerate(zip(_LABEL_AMPS[label.to_bits()], diag)):
-        ket = d * _UNIFORM
-        rr[k & 1] += bra.real * ket.real
-        ii[k & 1] += bra.imag * ket.imag
-        ri[k & 1] += bra.real * ket.imag
-        ir[k & 1] += bra.imag * ket.real
+    for k, (bra, amp) in enumerate(zip(_LABEL_AMPS[label.to_bits()], ket)):
+        rr[k & 1] += bra.real * amp.real
+        ii[k & 1] += bra.imag * amp.imag
+        ri[k & 1] += bra.real * amp.imag
+        ir[k & 1] += bra.imag * amp.real
     return complex((rr[0] + rr[1]) + (ii[0] + ii[1]), (ri[0] + ri[1]) - (ir[0] + ir[1]))
 
 
@@ -131,7 +135,7 @@ class AmplitudeRecord:
 
 def pair_matrix_element(label: FinalStateLabel, a: int, b: int) -> complex:
     """<label| same_box_projector(a, b) |uniform>, computed by direct linear algebra."""
-    return _matrix_element(label, same_box_diagonal(a, b))
+    return _matrix_element(label, _ket(same_box_diagonal(a, b)))
 
 
 def pair_matrix_element_closed(label: FinalStateLabel, a: int, b: int) -> complex:
@@ -152,7 +156,7 @@ def pair_matrix_element_closed(label: FinalStateLabel, a: int, b: int) -> comple
 
 def all_same_matrix_element(label: FinalStateLabel) -> complex:
     """<label| all_same_box_projector |uniform>, computed by direct linear algebra."""
-    return _matrix_element(label, ALL_SAME_DIAGONAL)
+    return _matrix_element(label, _ket(ALL_SAME_DIAGONAL))
 
 
 def all_same_matrix_element_closed(label: FinalStateLabel) -> complex:
@@ -167,7 +171,7 @@ def all_same_matrix_element_closed(label: FinalStateLabel) -> complex:
 
 def pair_count_matrix_element(label: FinalStateLabel) -> complex:
     """<label| shared_pair_count |uniform>; the sum of the three pair elements."""
-    return _matrix_element(label, PAIR_COUNT_DIAGONAL)
+    return _matrix_element(label, _ket(PAIR_COUNT_DIAGONAL))
 
 
 def closed_form_probability(label: FinalStateLabel, epsilon_t: float) -> float:
@@ -185,22 +189,22 @@ def transition_probability(label: FinalStateLabel, epsilon_t: float) -> Amplitud
     prob_closed is the class formula.  The CLI exits 1 when the two differ by
     more than 1e-10, so a drifting convention cannot pass silently.
     """
-    return _record(label, epsilon_t, evolution_diagonal(epsilon_t))
+    return _record(label, epsilon_t, _ket(evolution_diagonal(epsilon_t)))
 
 
 def amplitude_table(epsilon_t: float) -> tuple[AmplitudeRecord, ...]:
     """All eight records at one coupling; their probabilities sum to 1."""
-    diag = evolution_diagonal(epsilon_t)
-    return tuple(_record(label, epsilon_t, diag) for label in all_labels())
+    ket = _ket(evolution_diagonal(epsilon_t))
+    return tuple(_record(label, epsilon_t, ket) for label in all_labels())
 
 
-def _record(label: FinalStateLabel, epsilon_t: float, diag: tuple[complex, ...]) -> AmplitudeRecord:
-    """The label's record at ``epsilon_t``, given that coupling's evolution diagonal."""
+def _record(label: FinalStateLabel, epsilon_t: float, ket: tuple[complex, ...]) -> AmplitudeRecord:
+    """The label's record at ``epsilon_t``, given that coupling's evolved uniform state from _ket."""
     return AmplitudeRecord(
         label=label,
         epsilon_t=float(epsilon_t),
         prob_closed=closed_form_probability(label, epsilon_t),
-        prob_numeric=abs(_matrix_element(label, diag)) ** 2,
+        prob_numeric=abs(_matrix_element(label, ket)) ** 2,
         outcome_class=label.outcome_class,
     )
 

@@ -14,9 +14,10 @@ Both functions take outcomes from _distribution as integers over the measured
 bits alone.  Sampling is reproducible: Philox streams keyed by the seed drive
 an inverse-CDF draw over them, so equal inputs give byte-identical histograms
 on any platform.  Shots are drawn in pieces of CHUNK, the odd ones on a
-one-worker thread pool whose future carries its error back; _philox starts
-either stream at any word by Philox's counter (Salmon et al., SC'11).
-Outcomes come through a guide table (Chen and Asau, 1974) with a binary
+one-worker thread pool whose future carries its error back.  Each thread
+builds one Philox per stream, and _seek moves it to a piece's first word by
+setting its counter (Salmon et al., SC'11).  Outcomes come from raw 64-bit
+words through a guide table (Chen and Asau, 1974), with an integer binary
 search only where a bucket holds a CDF step; readout flips compare raw
 words against an exact integer bound.  Both threads add into one tally
 under a lock, so memory stays O(CHUNK) plus one count per outcome, and the
@@ -153,23 +154,40 @@ def _bitstrings(patterns: np.ndarray, cbits: list[int], width: int) -> list[str]
     return [text[i * width : (i + 1) * width] for i in range(len(patterns))]
 
 
-def _guide_table(cdf: np.ndarray) -> np.ndarray:
-    """``searchsorted(cdf, g / G, "right")`` for g < G, G a power of two >= 4 * len(cdf)."""
-    size = 1 << (4 * len(cdf) - 1).bit_length()
-    return np.searchsorted(cdf, np.arange(size) / size, side="right")
+def _guide_table(cdf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The integer steps of a CDF and its guide table: each bucket's outcome, or ``len(cdf)`` where a step lies inside.
 
-
-def _draw_outcomes(cdf: np.ndarray, guide: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Exactly ``searchsorted(cdf, uniforms, "right")``, through the guide table (Chen and Asau, 1974).
-
-    With G = len(guide) a power of two, ``u * G`` and ``g / G`` are exact, so
-    ``guide[floor(u * G)]`` counts only cdf entries <= u and is the answer
-    unless a cdf entry lies inside u's bucket.  Those buckets hold at most
-    len(cdf) / G <= 1/4 of the probability; their uniforms get a binary search.
+    A cdf entry c is <= the uniform ``u = (raw >> 11) * 2**-53`` of a raw
+    word exactly when its step ``ceil(c * 2**53)`` is <= ``raw >> 11``; an
+    entry rounded above 1.0 is never <= u, so it is clipped to 1.0.  With
+    G = len(guide) a power of two >= 4 * len(cdf), bucket g holds the words
+    whose top log2(G) bits read g, so their ``raw >> 11`` runs over
+    [g * S, (g + 1) * S) with S = 2**53 / G.  Its entry is the number of
+    steps <= g * S, the outcome of every word in it, unless a step lies
+    strictly inside that range.
     """
-    picks = guide[(uniforms * len(guide)).astype(np.intp)]
-    misses = np.flatnonzero(cdf[picks] <= uniforms)
-    picks[misses] = np.searchsorted(cdf, uniforms[misses], side="right")
+    steps = np.ceil(np.ldexp(np.minimum(cdf, 1.0), 53)).astype(np.uint64)
+    size = 1 << (4 * len(cdf) - 1).bit_length()
+    span = (1 << 53) // size
+    edges = np.arange(size, dtype=np.uint64)
+    edges *= np.uint64(span)
+    guide = np.searchsorted(steps, edges, side="right")
+    guide[steps[steps % span != 0] // span] = len(cdf)
+    return steps, guide
+
+
+def _draw_outcomes(steps: np.ndarray, guide: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """Exactly ``searchsorted(cdf, (raw >> 11) * 2**-53, "right")``, through the guide table (Chen and Asau, 1974).
+
+    ``steps`` and ``guide`` come from ``_guide_table(cdf)``.  The top log2(G)
+    bits of a word are ``floor(u * G)``, its bucket, so a word's guide entry
+    is its outcome unless the entry is ``len(steps)``: only the words in
+    buckets that hold a step, at most len(steps) / G <= 1/4 of the
+    probability, get a binary search, an exact one over the integer steps.
+    """
+    picks = guide[(raw >> (65 - len(guide).bit_length())).view(np.int64)]
+    misses = np.flatnonzero(picks == len(steps))
+    picks[misses] = np.searchsorted(steps, raw[misses] >> 11, side="right")
     return picks
 
 
@@ -184,14 +202,23 @@ def _flip_limit(p: float) -> np.uint64:
     return np.uint64(math.ceil(math.ldexp(p, 53)) << 11)
 
 
-def _philox(seed: int, word: int) -> np.random.Philox:
-    """A Philox keyed by ``seed`` whose next 64-bit word is word ``word`` of its stream.
+def _seek(bits: np.random.Philox, seed: int, word: int) -> np.random.Philox:
+    """Set ``bits`` so that its next 64-bit word is word ``word`` of the Philox stream keyed by ``seed``.
 
-    ``advance`` moves it to the counter step holding the word (four words a
-    step), and the words before it in that step are drawn and dropped.
+    Philox steps its 256-bit counter before it makes each block of four
+    words, so word w lies in the block of counter w // 4 + 1.  The counter
+    is set to w // 4 with the buffer spent, and the words before w in its
+    block are drawn and dropped.
     """
-    bits = np.random.Philox(key=seed)
-    bits.advance(word // 4)
+    step = word // 4
+    bits.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [(step >> (64 * i)) % 2**64 for i in range(4)], "key": [seed, 0]},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     bits.random_raw(word % 4)
     return bits
 
@@ -204,18 +231,22 @@ def sample_shots(circuit: Circuit, shots: int, seed: int, noise: NoiseModel | No
     gives one uniform per shot; the readout stream (used only if ``noise``
     is given) continues where ``shots`` outcome uniforms end and gives one
     uniform per shot and measured bit, in ascending classical bit order,
-    each below the flip probability flipping its bit.  Shots run in pieces
-    of CHUNK, the even ones on the calling thread and, above CHUNK shots,
-    the odd ones on a one-worker ThreadPoolExecutor whose future re-raises
-    its error here; ``_philox`` starts a piece at any word of either stream.
-    A uniform finds its outcome by a guide-table lookup, and a flip is the
-    exact integer test ``raw < ceil(p * 2**53) << 11`` on the raw 64-bit
-    draw, which holds exactly when the uniform ``(raw >> 11) * 2**-53`` is
-    below p.  Each piece's counts join one tally under a lock: per support
-    outcome without noise, per measured-bit pattern (at most 2**24) with
-    it.  Integer sums commute, so the schedule does not change the counts,
-    and memory is O(CHUNK) plus the tally.  Same (circuit, shots, seed,
-    noise) gives a byte-identical histogram everywhere.
+    each below the flip probability flipping its bit.  A uniform is numpy's
+    ``(raw >> 11) * 2**-53`` of a raw 64-bit word, but both draws work on
+    the words themselves.  Shots run in pieces of CHUNK, the even ones on
+    the calling thread and, above CHUNK shots, the odd ones on a one-worker
+    ThreadPoolExecutor whose future re-raises its error here.  Each thread
+    builds one Philox per stream, and ``_seek`` moves it to its piece's
+    first word of that stream by setting the counter.  A word finds its
+    outcome in the guide table at its top bits, with an exact integer
+    search only in buckets that hold a CDF step, and a flip is the exact
+    integer test ``raw < ceil(p * 2**53) << 11``, which holds exactly when
+    the uniform is below p.  Each piece's counts join one tally under a
+    lock: per support outcome without noise, per measured-bit pattern (at
+    most 2**24) with it.  Integer sums commute, so the schedule does not
+    change the counts, and memory is O(CHUNK) plus the tally.  Same
+    (circuit, shots, seed, noise) gives a byte-identical histogram
+    everywhere.
     """
     if not isinstance(shots, numbers.Integral) or shots < 1:
         raise ValueError(f"shots must be an integer >= 1, got {shots!r}")
@@ -226,7 +257,7 @@ def sample_shots(circuit: Circuit, shots: int, seed: int, noise: NoiseModel | No
     cbits, patterns, weights = _distribution(circuit)
     cdf = np.cumsum(weights / weights.sum())
     cdf[-1] = 1.0
-    guide = _guide_table(cdf)
+    steps, guide = _guide_table(cdf)
     k = len(cbits)
     if noise is not None:
         limit = _flip_limit(noise.readout_flip_prob)
@@ -235,15 +266,18 @@ def sample_shots(circuit: Circuit, shots: int, seed: int, noise: NoiseModel | No
     lock = threading.Lock()
 
     def work(first: int) -> None:
+        outcomes = np.random.Philox(key=seed)
+        if noise is not None:
+            flips = np.random.Philox(key=seed)
         for start in range(first, shots, 2 * CHUNK):
             size = min(CHUNK, shots - start)
-            drawn = _draw_outcomes(cdf, guide, np.random.Generator(_philox(seed, start)).random(size))
+            drawn = _draw_outcomes(steps, guide, _seek(outcomes, seed, start).random_raw(size))
             if noise is None:
                 counts = np.bincount(drawn, minlength=len(patterns))
                 with lock:
                     np.add(tally, counts, out=tally)
                 continue
-            hits = np.flatnonzero(_philox(seed, shots + start * k).random_raw(size * k) < limit)
+            hits = np.flatnonzero(_seek(flips, seed, shots + start * k).random_raw(size * k) < limit)
             codes = patterns[drawn]
             np.bitwise_xor.at(codes, hits // k, 1 << (hits % k))
             with lock:

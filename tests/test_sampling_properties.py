@@ -17,7 +17,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qpigeon.circuits import CHUNK, NoiseModel, _draw_outcomes, _flip_limit, _guide_table, _philox, sample_shots, simulate_ideal
+from qpigeon.circuits import CHUNK, NoiseModel, _draw_outcomes, _flip_limit, _guide_table, _seek, sample_shots, simulate_ideal
 from qpigeon.gates import MEASURE, Circuit, Gate, all_same_check_circuit
 
 
@@ -121,9 +121,18 @@ def test_zero_noise_equals_no_noise(circuit, shots, seed):
     assert sample_shots(circuit, shots, seed, NoiseModel(0.0)).counts == sample_shots(circuit, shots, seed).counts
 
 
+def normalised_cdf(weights: np.ndarray) -> np.ndarray:
+    cdf = np.cumsum(weights / weights.sum())
+    cdf[-1] = 1.0
+    return cdf
+
+
 @st.composite
 def cdfs(draw):
-    """Normalised CDFs of 1-600 outcomes: skewed weights, and dyadic ones that land on bucket edges."""
+    """Normalised CDFs of 1-600 outcomes: skewed weights, and dyadic ones that land on bucket edges.
+
+    Some reach 1.0, or round just above it, before their last entry.
+    """
     size = draw(st.integers(1, 600))
     if draw(st.booleans()):
         weights = np.array(draw(st.lists(st.integers(0, 8), min_size=size, max_size=size)), dtype=float)
@@ -131,26 +140,51 @@ def cdfs(draw):
     else:
         weights = np.array(draw(st.lists(st.floats(1e-12, 1.0), min_size=size, max_size=size)))
         weights[draw(st.integers(0, size - 1))] = 1e6
-    cdf = np.cumsum(weights / weights.sum())
-    cdf[-1] = 1.0
+    cdf = normalised_cdf(weights)
+    tail = draw(st.integers(0, size - 1))
+    cdf[tail:-1] = draw(st.sampled_from([cdf[tail:-1], 1.0, np.nextafter(1.0, 2.0)]))
     return cdf
+
+
+def bucket_and_step_words(cdf: np.ndarray, size: int) -> np.ndarray:
+    """Each guide bucket's first word and the word before it, each step's first word and the word before it, 0 and 2**64 - 1."""
+    firsts = [g << (64 - size.bit_length() + 1) for g in range(size)]
+    steps = [math.ceil(math.ldexp(c, 53)) << 11 for c in cdf.tolist() if c < 1.0]
+    words = {0, 2**64 - 1}
+    for w in firsts + steps:
+        words.update((w, (w - 1) % 2**64))
+    return np.array(sorted(words), dtype=np.uint64)
 
 
 @settings(max_examples=60, deadline=None)
 @given(cdfs(), seeds)
+@example(normalised_cdf(np.array(list(simulate_ideal(all_same_check_circuit()).values()))), 0)
 def test_guide_search_equals_binary_search(cdf, seed):
-    guide = _guide_table(cdf)
-    edges = np.arange(len(guide)) / len(guide)
-    uniforms = np.concatenate([edges, np.nextafter(edges[1:], 0.0), cdf[cdf < 1.0], np.random.default_rng(seed).random(4096)])
-    assert np.array_equal(_draw_outcomes(cdf, guide, uniforms), np.searchsorted(cdf, uniforms, side="right"))
+    steps, guide = _guide_table(cdf)
+    assert len(guide) >= 4 * len(cdf) and len(guide) & (len(guide) - 1) == 0
+    raw = np.concatenate([bucket_and_step_words(cdf, len(guide)), np.random.Philox(key=seed).random_raw(4096)])
+    uniforms = (raw >> np.uint64(11)) * 2.0**-53
+    assert np.array_equal(_draw_outcomes(steps, guide, raw), np.searchsorted(cdf, uniforms, side="right"))
 
 
-@pytest.mark.parametrize("chunk", [6, 1001, 4097])
+def test_every_step_of_the_all_same_circuit_lies_on_a_bucket_edge():
+    # 28 of its 32 cdf entries are multiples of 1/32; the other 4 lie a few
+    # ulps below one, where no uniform lies, so their steps round up onto
+    # the edge and no bucket needs a search
+    cdf = normalised_cdf(np.array(list(simulate_ideal(all_same_check_circuit()).values())))
+    steps, guide = _guide_table(cdf)
+    assert len(cdf) == 32 and np.count_nonzero(cdf * 32 % 1 == 0) == 28
+    assert np.array_equal(steps, np.arange(1, 33, dtype=np.uint64) << np.uint64(48))
+    assert len(cdf) not in guide
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 6, 1001, 4097])
 @pytest.mark.parametrize("circuit", [all_same_check_circuit(), WIDE_NOISY], ids=["all_same", "wide"])
 @pytest.mark.parametrize("noise", [None, NoiseModel(0.1)], ids=["clean", "noisy"])
 def test_pieces_of_any_size_match_one_shot_oracle(monkeypatch, chunk, circuit, noise):
     # none of these sizes is a multiple of 4, so most pieces start both of
-    # their streams inside a Philox counter step
+    # their streams inside a Philox counter step; with 1-3 shots a piece, a
+    # thread's generator moves to a word in the counter step it last drew from
     monkeypatch.setattr("qpigeon.circuits.CHUNK", chunk)
     shots = 3 * chunk + 2
     assert sample_shots(circuit, shots, 7, noise).counts == one_shot_counts(circuit, shots, 7, noise)
@@ -164,16 +198,36 @@ def test_wide_skewed_support_matches_one_shot_oracle():
         assert sample_shots(circuit, 2 * CHUNK + 5, 7, noise).counts == one_shot_counts(circuit, 2 * CHUNK + 5, 7, noise)
 
 
+@pytest.mark.parametrize("seed", [0, 2024, 2**64 - 1])
+def test_seek_gives_the_words_of_a_fresh_stream(seed):
+    # both sides of the first few counter steps, reached forward from a
+    # spent buffer and back from further on, against a fresh Philox drawn up
+    # to the word: this pins the state layout _seek writes
+    fresh = np.random.Philox(key=seed).random_raw(64)
+    bits = np.random.Philox(key=seed ^ 1)
+    for word in (0, 1, 3, 4, 5, 7, 8, 11, 12, 13, 31, 32, 33):
+        for before in (word + 9, max(word - 5, 0)):
+            _seek(bits, seed, before).random_raw(2)
+            assert np.array_equal(_seek(bits, seed, word).random_raw(16), fresh[word : word + 16])
+    # a word past 2**66, where the counter carries into its second 64-bit
+    # limb, against advance, which steps the counter without drawing
+    for word in (2**66 - 5, 2**66 - 1, 2**66, 2**66 + 6):
+        ahead = np.random.Philox(key=seed)
+        ahead.advance(word // 4)
+        ahead.random_raw(word % 4)
+        assert np.array_equal(_seek(bits, seed, word).random_raw(8), ahead.random_raw(8))
+
+
 FLIP_PROBS = (0.0, 5e-324, 2.0**-53, 0.02, 0.5, 1.0 - 2.0**-53)
 
 
 @pytest.mark.parametrize("p", FLIP_PROBS)
 @pytest.mark.parametrize("offset", range(8))
 def test_integer_flip_test_equals_the_float_one(p, offset):
-    # the sampler's _philox moved to word `offset`, across two counter steps,
+    # the sampler's _seek moved to word `offset`, across two counter steps,
     # against a Generator that draws up to it
     seed, n = 2024, 4096
-    raw = _philox(seed, offset).random_raw(n)
+    raw = _seek(np.random.Philox(key=seed), seed, offset).random_raw(n)
     drawn = np.random.Generator(np.random.Philox(key=seed))
     drawn.random(offset)
     uniforms = drawn.random(n)
@@ -190,12 +244,12 @@ def test_integer_flip_test_equals_the_float_one(p, offset):
 def test_an_error_in_any_piece_is_raised_and_leaves_no_thread(monkeypatch, failing_piece):
     # piece 1 runs on the helper thread, pieces 0 and 2 on the caller
     seed = 5
-    first_uniform = np.random.Generator(np.random.Philox(key=seed)).random(3 * CHUNK)[failing_piece * CHUNK]
+    first_word = np.random.Philox(key=seed).random_raw(3 * CHUNK)[failing_piece * CHUNK]
 
-    def draw(cdf, guide, uniforms):
-        if uniforms[0] == first_uniform:
+    def draw(steps, guide, raw):
+        if raw[0] == first_word:
             raise RuntimeError(f"piece {failing_piece}")
-        return _draw_outcomes(cdf, guide, uniforms)
+        return _draw_outcomes(steps, guide, raw)
 
     monkeypatch.setattr("qpigeon.circuits._draw_outcomes", draw)
     before = threading.active_count()
@@ -208,9 +262,9 @@ def test_an_error_in_any_piece_is_raised_and_leaves_no_thread(monkeypatch, faili
 def test_only_runs_of_more_than_chunk_shots_start_the_helper(monkeypatch):
     threads = set()
 
-    def draw(cdf, guide, uniforms):
+    def draw(steps, guide, raw):
         threads.add(threading.get_ident())
-        return _draw_outcomes(cdf, guide, uniforms)
+        return _draw_outcomes(steps, guide, raw)
 
     monkeypatch.setattr("qpigeon.circuits._draw_outcomes", draw)
     sample_shots(all_same_check_circuit(), CHUNK, 1, NoiseModel(0.02))
