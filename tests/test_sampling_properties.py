@@ -127,6 +127,9 @@ def normalised_cdf(weights: np.ndarray) -> np.ndarray:
     return cdf
 
 
+ALL_SAME_CDF = normalised_cdf(np.array(list(simulate_ideal(all_same_check_circuit()).values())))
+
+
 @st.composite
 def cdfs(draw):
     """Normalised CDFs of 1-600 outcomes: skewed weights, and dyadic ones that land on bucket edges.
@@ -148,7 +151,7 @@ def cdfs(draw):
 
 def bucket_and_step_words(cdf: np.ndarray, size: int) -> np.ndarray:
     """Each guide bucket's first word and the word before it, each step's first word and the word before it, 0 and 2**64 - 1."""
-    firsts = [g << (64 - size.bit_length() + 1) for g in range(size)]
+    firsts = [g << (65 - size.bit_length()) for g in range(size)]
     steps = [math.ceil(math.ldexp(c, 53)) << 11 for c in cdf.tolist() if c < 1.0]
     words = {0, 2**64 - 1}
     for w in firsts + steps:
@@ -158,7 +161,7 @@ def bucket_and_step_words(cdf: np.ndarray, size: int) -> np.ndarray:
 
 @settings(max_examples=60, deadline=None)
 @given(cdfs(), seeds)
-@example(normalised_cdf(np.array(list(simulate_ideal(all_same_check_circuit()).values()))), 0)
+@example(ALL_SAME_CDF, 0)
 def test_guide_search_equals_binary_search(cdf, seed):
     steps, guide = _guide_table(cdf)
     assert len(guide) >= 4 * len(cdf) and len(guide) & (len(guide) - 1) == 0
@@ -171,11 +174,10 @@ def test_every_step_of_the_all_same_circuit_lies_on_a_bucket_edge():
     # 28 of its 32 cdf entries are multiples of 1/32; the other 4 lie a few
     # ulps below one, where no uniform lies, so their steps round up onto
     # the edge and no bucket needs a search
-    cdf = normalised_cdf(np.array(list(simulate_ideal(all_same_check_circuit()).values())))
-    steps, guide = _guide_table(cdf)
-    assert len(cdf) == 32 and np.count_nonzero(cdf * 32 % 1 == 0) == 28
+    steps, guide = _guide_table(ALL_SAME_CDF)
+    assert len(ALL_SAME_CDF) == 32 and np.count_nonzero(ALL_SAME_CDF * 32 % 1 == 0) == 28
     assert np.array_equal(steps, np.arange(1, 33, dtype=np.uint64) << np.uint64(48))
-    assert len(cdf) not in guide
+    assert 32 not in guide
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 6, 1001, 4097])
