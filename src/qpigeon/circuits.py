@@ -13,15 +13,16 @@ classical bit leftmost; classical bits never written by a measurement read 0.
 Both functions take outcomes from _distribution as integers over the measured
 bits alone.  Sampling is reproducible: Philox streams keyed by the seed drive
 an inverse-CDF draw over them, so equal inputs give byte-identical histograms
-on any platform.  Shots are drawn in pieces of CHUNK, the odd ones on a
+on any platform.  Above CHUNK shots the second half of the shots runs on a
 one-worker thread pool whose future carries its error back.  Each thread
-builds one Philox per stream, and _seek moves it to a piece's first word by
-setting its counter (Salmon et al., SC'11).  Outcomes come from raw 64-bit
-words through a guide table (Chen and Asau, 1974), with an integer binary
-search only where a bucket holds a CDF step; readout flips compare raw
-words against an exact integer bound.  Both threads add into one tally
-under a lock, so memory stays O(CHUNK) plus one count per outcome, and the
-counts do not depend on the order in which the threads add them.
+places one Philox per stream at its half's first word through the counter
+(Salmon et al., SC'11) and reads on from there in pieces of at most CHUNK
+shots.  Outcomes come from raw 64-bit words through a guide table (Chen
+and Asau, 1974), with an integer binary search only where a bucket holds a
+CDF step; readout flips compare raw words against an exact integer bound.
+Both threads add into one tally under a lock, so memory stays O(CHUNK) plus
+one count per outcome, and the counts do not depend on the order in which
+the threads add them.
 """
 
 import math
@@ -202,23 +203,15 @@ def _flip_limit(p: float) -> np.uint64:
     return np.uint64(math.ceil(math.ldexp(p, 53)) << 11)
 
 
-def _seek(bits: np.random.Philox, seed: int, word: int) -> np.random.Philox:
-    """Set ``bits`` so that its next 64-bit word is word ``word`` of the Philox stream keyed by ``seed``.
+def _philox(seed: int, word: int) -> np.random.Philox:
+    """The Philox stream keyed by ``seed``, placed so that its next 64-bit word is word ``word``.
 
-    Philox steps its 256-bit counter before it makes each block of four
-    words, so word w lies in the block of counter w // 4 + 1.  The counter
-    is set to w // 4 with the buffer spent, and the words before w in its
-    block are drawn and dropped.
+    Philox steps its counter before each block of four words, so the
+    generator built at counter ``word // 4`` draws word ``word // 4 * 4``
+    first (Salmon et al., SC'11); the words before ``word`` in that block
+    are drawn and dropped.
     """
-    step = word // 4
-    bits.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": [(step >> (64 * i)) % 2**64 for i in range(4)], "key": [seed, 0]},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    bits = np.random.Philox(key=seed, counter=word // 4)
     bits.random_raw(word % 4)
     return bits
 
@@ -233,11 +226,12 @@ def sample_shots(circuit: Circuit, shots: int, seed: int, noise: NoiseModel | No
     uniform per shot and measured bit, in ascending classical bit order,
     each below the flip probability flipping its bit.  A uniform is numpy's
     ``(raw >> 11) * 2**-53`` of a raw 64-bit word, but both draws work on
-    the words themselves.  Shots run in pieces of CHUNK, the even ones on
-    the calling thread and, above CHUNK shots, the odd ones on a one-worker
-    ThreadPoolExecutor whose future re-raises its error here.  Each thread
-    builds one Philox per stream, and ``_seek`` moves it to its piece's
-    first word of that stream by setting the counter.  A word finds its
+    the words themselves.  Above CHUNK shots, the calling thread draws
+    shots [0, shots // 2) and a one-worker ThreadPoolExecutor, whose future
+    re-raises its error here, draws [shots // 2, shots); otherwise the
+    calling thread draws them all.  Each thread places one Philox per stream
+    at its first shot's word with ``_philox`` and draws its shots in pieces
+    of at most CHUNK, each reading on from the last.  A word finds its
     outcome in the guide table at its top bits, with an exact integer
     search only in buckets that hold a CDF step, and a flip is the exact
     integer test ``raw < ceil(p * 2**53) << 11``, which holds exactly when
@@ -265,19 +259,19 @@ def sample_shots(circuit: Circuit, shots: int, seed: int, noise: NoiseModel | No
     tally = np.zeros(len(patterns) if noise is None else 1 << k, dtype=np.int64)
     lock = threading.Lock()
 
-    def work(first: int) -> None:
-        outcomes = np.random.Philox(key=seed)
+    def work(start: int, stop: int) -> None:
+        outcomes = _philox(seed, start)
         if noise is not None:
-            flips = np.random.Philox(key=seed)
-        for start in range(first, shots, 2 * CHUNK):
-            size = min(CHUNK, shots - start)
-            drawn = _draw_outcomes(steps, guide, _seek(outcomes, seed, start).random_raw(size))
+            flips = _philox(seed, shots + start * k)
+        for first in range(start, stop, CHUNK):
+            size = min(CHUNK, stop - first)
+            drawn = _draw_outcomes(steps, guide, outcomes.random_raw(size))
             if noise is None:
                 counts = np.bincount(drawn, minlength=len(patterns))
                 with lock:
                     np.add(tally, counts, out=tally)
                 continue
-            hits = np.flatnonzero(_seek(flips, seed, shots + start * k).random_raw(size * k) < limit)
+            hits = np.flatnonzero(flips.random_raw(size * k) < limit)
             codes = patterns[drawn]
             np.bitwise_xor.at(codes, hits // k, 1 << (hits % k))
             with lock:
@@ -286,13 +280,13 @@ def sample_shots(circuit: Circuit, shots: int, seed: int, noise: NoiseModel | No
     if shots > CHUNK:
         # imported here: runs of CHUNK shots or fewer never start the helper
         from concurrent.futures import ThreadPoolExecutor
-        # leaving the block joins the helper, also when work(0) raises
+        # leaving the block joins the helper, also when work(0, ...) raises
         with ThreadPoolExecutor(max_workers=1) as pool:
-            helper = pool.submit(work, CHUNK)
-            work(0)
+            helper = pool.submit(work, shots // 2, shots)
+            work(0, shots // 2)
         helper.result()
     else:
-        work(0)
+        work(0, shots)
     seen = np.flatnonzero(tally)
     keys = _bitstrings(patterns[seen] if noise is None else seen, cbits, circuit.n_cbits)
     return ShotHistogram(counts=dict(zip(keys, tally[seen].tolist())), shots=shots, seed=seed, noise=noise)

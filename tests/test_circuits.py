@@ -293,14 +293,19 @@ def test_zero_noise_equals_no_noise():
 
 
 def test_sampling_memory_is_bounded():
-    # the working set is O(CHUNK) shots, so 20x the shots must not grow the peak
+    # the working set is O(CHUNK) shots, so 20x the shots must not grow the
+    # peak; a run's peak depends on how far the two threads' pieces overlap
+    # in time, so each size reads the largest peak of five runs
     def peak_bytes(shots):
-        tracemalloc.start()
-        try:
-            sample_shots(all_same_check_circuit(), shots, 1, NoiseModel(0.02))
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peaks = []
+        for _ in range(5):
+            tracemalloc.start()
+            try:
+                sample_shots(all_same_check_circuit(), shots, 1, NoiseModel(0.02))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        return max(peaks)
 
     small, large = peak_bytes(10**5), peak_bytes(2 * 10**6)
     assert large < 16 * 2**20

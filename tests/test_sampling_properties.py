@@ -17,7 +17,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qpigeon.circuits import CHUNK, NoiseModel, _draw_outcomes, _flip_limit, _guide_table, _seek, sample_shots, simulate_ideal
+from qpigeon.circuits import CHUNK, NoiseModel, _draw_outcomes, _flip_limit, _guide_table, _philox, sample_shots, simulate_ideal
 from qpigeon.gates import MEASURE, Circuit, Gate, all_same_check_circuit
 
 
@@ -185,8 +185,8 @@ def test_every_step_of_the_all_same_circuit_lies_on_a_bucket_edge():
 @pytest.mark.parametrize("noise", [None, NoiseModel(0.1)], ids=["clean", "noisy"])
 def test_pieces_of_any_size_match_one_shot_oracle(monkeypatch, chunk, circuit, noise):
     # none of these sizes is a multiple of 4, so most pieces start both of
-    # their streams inside a Philox counter step; with 1-3 shots a piece, a
-    # thread's generator moves to a word in the counter step it last drew from
+    # their streams inside a Philox counter step, and with 1-3 shots a piece
+    # a thread reads several pieces from one counter step
     monkeypatch.setattr("qpigeon.circuits.CHUNK", chunk)
     shots = 3 * chunk + 2
     assert sample_shots(circuit, shots, 7, noise).counts == one_shot_counts(circuit, shots, 7, noise)
@@ -202,22 +202,18 @@ def test_wide_skewed_support_matches_one_shot_oracle():
 
 @pytest.mark.parametrize("seed", [0, 2024, 2**64 - 1])
 def test_seek_gives_the_words_of_a_fresh_stream(seed):
-    # both sides of the first few counter steps, reached forward from a
-    # spent buffer and back from further on, against a fresh Philox drawn up
-    # to the word: this pins the state layout _seek writes
+    # _philox placed on both sides of the first few counter steps, against
+    # a fresh Philox drawn up to the word
     fresh = np.random.Philox(key=seed).random_raw(64)
-    bits = np.random.Philox(key=seed ^ 1)
     for word in (0, 1, 3, 4, 5, 7, 8, 11, 12, 13, 31, 32, 33):
-        for before in (word + 9, max(word - 5, 0)):
-            _seek(bits, seed, before).random_raw(2)
-            assert np.array_equal(_seek(bits, seed, word).random_raw(16), fresh[word : word + 16])
+        assert np.array_equal(_philox(seed, word).random_raw(16), fresh[word : word + 16])
     # a word past 2**66, where the counter carries into its second 64-bit
     # limb, against advance, which steps the counter without drawing
     for word in (2**66 - 5, 2**66 - 1, 2**66, 2**66 + 6):
         ahead = np.random.Philox(key=seed)
         ahead.advance(word // 4)
         ahead.random_raw(word % 4)
-        assert np.array_equal(_seek(bits, seed, word).random_raw(8), ahead.random_raw(8))
+        assert np.array_equal(_philox(seed, word).random_raw(8), ahead.random_raw(8))
 
 
 FLIP_PROBS = (0.0, 5e-324, 2.0**-53, 0.02, 0.5, 1.0 - 2.0**-53)
@@ -226,10 +222,10 @@ FLIP_PROBS = (0.0, 5e-324, 2.0**-53, 0.02, 0.5, 1.0 - 2.0**-53)
 @pytest.mark.parametrize("p", FLIP_PROBS)
 @pytest.mark.parametrize("offset", range(8))
 def test_integer_flip_test_equals_the_float_one(p, offset):
-    # the sampler's _seek moved to word `offset`, across two counter steps,
-    # against a Generator that draws up to it
+    # the sampler's _philox placed at word `offset`, across two counter
+    # steps, against a Generator that draws up to it
     seed, n = 2024, 4096
-    raw = _seek(np.random.Philox(key=seed), seed, offset).random_raw(n)
+    raw = _philox(seed, offset).random_raw(n)
     drawn = np.random.Generator(np.random.Philox(key=seed))
     drawn.random(offset)
     uniforms = drawn.random(n)
@@ -244,9 +240,9 @@ def test_integer_flip_test_equals_the_float_one(p, offset):
 
 @pytest.mark.parametrize("failing_piece", [0, 1, 2])
 def test_an_error_in_any_piece_is_raised_and_leaves_no_thread(monkeypatch, failing_piece):
-    # piece 1 runs on the helper thread, pieces 0 and 2 on the caller
+    # of 3 * CHUNK shots, the caller's first and second pieces and the helper's first
     seed = 5
-    first_word = np.random.Philox(key=seed).random_raw(3 * CHUNK)[failing_piece * CHUNK]
+    first_word = np.random.Philox(key=seed).random_raw(3 * CHUNK)[[0, CHUNK, 3 * CHUNK // 2][failing_piece]]
 
     def draw(steps, guide, raw):
         if raw[0] == first_word:
@@ -262,17 +258,21 @@ def test_an_error_in_any_piece_is_raised_and_leaves_no_thread(monkeypatch, faili
 
 
 def test_only_runs_of_more_than_chunk_shots_start_the_helper(monkeypatch):
-    threads = set()
+    # outcome words drawn per thread
+    words = {}
 
     def draw(steps, guide, raw):
-        threads.add(threading.get_ident())
+        words[threading.get_ident()] = words.get(threading.get_ident(), 0) + len(raw)
         return _draw_outcomes(steps, guide, raw)
 
     monkeypatch.setattr("qpigeon.circuits._draw_outcomes", draw)
     sample_shots(all_same_check_circuit(), CHUNK, 1, NoiseModel(0.02))
-    assert threads == {threading.get_ident()}
+    assert words == {threading.get_ident(): CHUNK}
+    words.clear()
     sample_shots(all_same_check_circuit(), CHUNK + 1, 1, NoiseModel(0.02))
-    assert len(threads) == 2
+    # each thread draws one half
+    assert len(words) == 2
+    assert sorted(words.values()) == [(CHUNK + 1) // 2, (CHUNK + 2) // 2]
 
 
 def test_concurrent_calls_keep_every_count():
