@@ -13,6 +13,7 @@ when set, else 0.  Only simulate and sample load numpy (through circuits).
 
 import argparse
 import os
+import re
 import sys
 
 from . import amplitudes as amp_mod
@@ -204,6 +205,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=_cmd_hiddenvars)
 
+    # argparse reads only -1 and -0.5 as values; no option starts with "-" and
+    # a digit or ".", so take every such token, like -1e-3 or -1:1:3, as one
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 

@@ -275,3 +275,23 @@ def test_amplitudes_probability_sum_mismatch_exits_1_with_every_row(capsys, monk
     assert code == 1
     assert len(captured.out.strip().split("\n")) == 1 + 8
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["amplitudes", "--epsilon-t", "-1:1:3"], id="sweep"),
+    pytest.param(["amplitudes", "--epsilon-t", "-1e-3"], id="exponent"),
+    pytest.param(["amplitudes", "--epsilon-t", "-.5"], id="no-leading-digit"),
+    pytest.param(["sample", "--circuit", "p", "--shots", "8", "--noise-readout", "-1e-3"], id="noise"),
+    pytest.param(["identities", "--tolerance", "-1e-12"], id="tolerance"),
+])
+def test_a_negative_value_after_its_option_reads_as_with_equals(capsys, argv):
+    def outcome(args):
+        try:
+            code = cli.main(args)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+    assert outcome(argv) == outcome(joined)
