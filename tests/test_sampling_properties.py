@@ -270,7 +270,6 @@ def test_only_runs_of_more_than_chunk_shots_start_the_helper(monkeypatch):
     assert words == {threading.get_ident(): CHUNK}
     words.clear()
     sample_shots(all_same_check_circuit(), CHUNK + 1, 1, NoiseModel(0.02))
-    # each thread draws one half
     assert len(words) == 2
     assert sorted(words.values()) == [(CHUNK + 1) // 2, (CHUNK + 2) // 2]
 
