@@ -21,7 +21,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .boxes import ALL_SAME_DIAGONAL, PAIR_COUNT_DIAGONAL, evolution_diagonal, same_box_diagonal
+from .boxes import ALL_SAME_DIAGONAL, N_PIGEONS, PAIR_COUNT_DIAGONAL, _check_pair, evolution_diagonal, same_box_diagonal
+from .gates import _check_index
 
 ALL_SAME_SIGN = "ALL_SAME_SIGN"
 ONE_MINORITY_SIGN = "ONE_MINORITY_SIGN"
@@ -68,8 +69,7 @@ class FinalStateLabel:
 
     @classmethod
     def from_bits(cls, bits: int) -> "FinalStateLabel":
-        if not 0 <= bits < 8:
-            raise ValueError(f"bits must be in 0..7, got {bits}")
+        bits = _check_index(bits, "bits", 0, 8)
         return cls(tuple(-1 if (bits >> k) & 1 else 1 for k in range(3)))
 
     def __str__(self) -> str:
@@ -146,11 +146,10 @@ def pair_matrix_element_closed(label: FinalStateLabel, a: int, b: int) -> comple
     spectator qubit c's sign; this convention matches the numeric route
     under the qubit-k-at-bit-k ordering used throughout.
     """
-    if a == b or not (0 <= a < 3 and 0 <= b < 3):
-        raise ValueError(f"need two distinct indices in 0..2, got {(a, b)}")
+    a, b = _check_pair(a, b)
     if label.signs[a] == label.signs[b]:
         return 0j
-    c = 3 - a - b
+    (c,) = set(range(N_PIGEONS)) - {a, b}
     return cmath.exp(-1j * label.signs[c] * math.pi / 4.0) / _SQRT8
 
 

@@ -16,6 +16,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
+from .gates import _check_index
+
 N_PIGEONS = 3
 PAIRS = ((0, 1), (0, 2), (1, 2))
 
@@ -42,11 +44,17 @@ PAIR_COUNT_DIAGONAL = tuple(complex(sum(row[:_ALL_SAME])) for row in BOX_VALUES)
 ONE_PAIR_DIAGONAL = tuple(complex(sum(row[:_ALL_SAME]) - 3 * row[_ALL_SAME]) for row in BOX_VALUES)
 
 
+def _check_pair(a: int, b: int) -> tuple[int, int]:
+    """Two distinct pigeon indices in 0..2 as their pair in PAIRS, smaller first, or ValueError."""
+    pair = tuple(sorted(_check_index(index, "pigeon index", 0, N_PIGEONS) for index in (a, b)))
+    if pair not in PAIRS:
+        raise ValueError(f"need two distinct pigeon indices, got {(a, b)}")
+    return pair
+
+
 def same_box_diagonal(a: int, b: int) -> tuple[complex, ...]:
     """Diagonal of same_box_projector(a, b): 1 where pigeons a and b share a box."""
-    if a == b or not (0 <= a < N_PIGEONS and 0 <= b < N_PIGEONS):
-        raise ValueError(f"need two distinct pigeon indices in 0..2, got {(a, b)}")
-    return _SAME_BOX[(a, b) if a < b else (b, a)]
+    return _SAME_BOX[_check_pair(a, b)]
 
 
 @dataclass(frozen=True)

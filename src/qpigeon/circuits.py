@@ -26,14 +26,13 @@ the threads add them.
 """
 
 import math
-import numbers
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import output
-from .gates import BARRIER, MEASURE, Circuit, Gate
+from .gates import BARRIER, MEASURE, Circuit, Gate, _check_index
 # perfbench/ reads these names from this module; patching apply_gate here does
 # not reach simulate_ideal, which runs states._evolve
 from .gates import ALL_SAME_ANCILLA_CBITS, PIGEON_CBITS, all_same_check_circuit  # noqa: F401
@@ -55,7 +54,7 @@ class NoiseModel:
 
     def __post_init__(self):
         p = self.readout_flip_prob
-        if not (isinstance(p, (int, float)) and math.isfinite(p) and 0.0 <= p < 1.0):
+        if not (isinstance(p, (int, float)) and not isinstance(p, bool) and math.isfinite(p) and 0.0 <= p < 1.0):
             raise ValueError(f"readout_flip_prob must be in [0, 1), got {p!r}")
 
 
@@ -240,14 +239,11 @@ def sample_shots(circuit: Circuit, shots: int, seed: int, noise: NoiseModel | No
     most 2**24) with it.  Integer sums commute, so the schedule does not
     change the counts, and memory is O(CHUNK) plus the tally.  Same
     (circuit, shots, seed, noise) gives a byte-identical histogram
-    everywhere.
+    everywhere.  ``shots`` >= 1 and 0 <= ``seed`` < 2**64 are integers, not bools.
     """
-    if not isinstance(shots, numbers.Integral) or shots < 1:
-        raise ValueError(f"shots must be an integer >= 1, got {shots!r}")
-    if not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be an integer that fits in 64 bits, got {seed!r}")
     # numpy integers pass, but the histogram holds Python ints, which JSON can write
-    shots, seed = int(shots), int(seed)
+    shots = _check_index(shots, "shots", 1)
+    seed = _check_index(seed, "seed", 0, 2**64)
     cbits, patterns, weights = _distribution(circuit)
     cdf = np.cumsum(weights / weights.sum())
     cdf[-1] = 1.0
@@ -298,8 +294,8 @@ def _pattern(key: str, cbits: list[int]) -> str:
 
 
 def _group_map(mapping: dict, pigeon_cbits, ancilla_cbits) -> dict[str, dict[str, float]]:
-    pigeon = sorted(set(pigeon_cbits), reverse=True)
-    ancilla = sorted(set(ancilla_cbits), reverse=True)
+    pigeon = sorted({_check_index(b, "pigeon cbit", 0) for b in pigeon_cbits}, reverse=True)
+    ancilla = sorted({_check_index(b, "ancilla cbit", 0) for b in ancilla_cbits}, reverse=True)
     if not pigeon or not ancilla:
         raise ValueError("need at least one pigeon bit and one ancilla bit")
     if set(pigeon) & set(ancilla):

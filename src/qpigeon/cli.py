@@ -46,9 +46,7 @@ def _parse_sweep(text: str) -> list[float]:
             return [float(parts[0])]
         if len(parts) == 3:
             start, stop = float(parts[0]), float(parts[1])
-            steps = int(parts[2])
-            if steps < 1:
-                raise ValueError
+            steps = gates._check_index(int(parts[2]), "steps", 1)
             if steps == 1:
                 return [start]
             width = (stop - start) / (steps - 1)

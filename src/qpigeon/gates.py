@@ -46,6 +46,13 @@ PAIR_CHECK_ANCILLA_CBITS = (3,)
 ALL_SAME_ANCILLA_CBITS = (3, 4)
 
 
+def _check_index(value, name: str, low: int, high: int | None = None) -> int:
+    """An index, count or seed as an int: an integer, not a bool, with low <= value < high (None: no bound), else ValueError."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and low <= value and (high is None or value < high):
+        return int(value)
+    raise ValueError(f"{name} must be an integer in [{low}, {'inf' if high is None else high}), got {value!r}")
+
+
 @dataclass(frozen=True)
 class Gate:
     """One instruction: a unitary from {H, X, RX, CX}, a BARRIER, or a MEASURE.
@@ -53,7 +60,7 @@ class Gate:
     ``qubit`` is the control for CX and the measured qubit for MEASURE.
     ``target`` is only set for CX, ``theta`` only for RX, ``cbit`` only for
     MEASURE.  A BARRIER carries no indices and acts on the whole register.
-    Indices are nonnegative integers and ``theta`` is finite.
+    Indices are nonnegative integers and ``theta`` is a finite real, neither a bool.
     """
 
     kind: str
@@ -71,10 +78,10 @@ class Gate:
                 if value is not None:
                     raise ValueError(f"{self.kind} takes no {name}")
             elif name == "theta":
-                if not isinstance(value, numbers.Real) or not math.isfinite(value):
-                    raise ValueError(f"{self.kind} needs a finite theta")
-            elif not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 0:
-                raise ValueError(f"{self.kind} needs a nonnegative integer {name}")
+                if not isinstance(value, numbers.Real) or isinstance(value, bool) or not math.isfinite(value):
+                    raise ValueError(f"{self.kind} needs a finite real theta, got {value!r}")
+            else:
+                object.__setattr__(self, name, _check_index(value, f"{self.kind} {name}", 0))
         if self.kind == CX and self.target == self.qubit:
             raise ValueError("CX control and target must differ")
 
@@ -105,16 +112,15 @@ class Gate:
 
 @dataclass(frozen=True)
 class Circuit:
-    """An ordered gate list over ``n_qubits`` qubits and ``n_cbits`` classical bits."""
+    """An ordered gate list over ``n_qubits`` >= 1 qubits and ``n_cbits`` >= 0 classical bits, integers but not bools."""
 
     n_qubits: int
     n_cbits: int
     gates: tuple[Gate, ...]
 
     def __post_init__(self):
-        sizes = (self.n_qubits, self.n_cbits)
-        if not all(isinstance(s, numbers.Integral) and not isinstance(s, bool) for s in sizes) or self.n_qubits < 1 or self.n_cbits < 0:
-            raise ValueError(f"need integer register sizes, at least one qubit and no negative cbit count: {sizes}")
+        object.__setattr__(self, "n_qubits", _check_index(self.n_qubits, "n_qubits", 1))
+        object.__setattr__(self, "n_cbits", _check_index(self.n_cbits, "n_cbits", 0))
         gates = tuple(self.gates)
         seen_cbits = set()
         for gate in gates:
@@ -129,9 +135,8 @@ class Circuit:
 def _check_fits(gate: Gate, n_qubits: int, n_cbits: int) -> None:
     """Raise ValueError if an index of the gate lies outside its register of n_qubits or n_cbits."""
     for name, size in (("qubit", n_qubits), ("target", n_qubits), ("cbit", n_cbits)):
-        index = getattr(gate, name)
-        if index is not None and index >= size:
-            raise ValueError(f"gate {gate} addresses {name} {index} outside a register of {size}")
+        if getattr(gate, name) is not None:
+            _check_index(getattr(gate, name), f"{name} of {gate}", 0, size)
 
 
 def pair_check_circuit() -> Circuit:

@@ -31,20 +31,15 @@ from .states import StateVector
 
 DIM = 8
 
-_FLAG_TOL = 1e-12
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearOperator:
-    """A dense complex matrix with optional hermitian/projector guarantees.
+    """A dense complex matrix, copied, checked (square, finite) and frozen read-only on construction.
 
-    The flags are validated on construction to within 1e-12, so a flagged
-    operator really is what it claims.  ``is_projector`` implies hermitian.
+    Operators are equal, and hash alike, when their matrix bytes are equal, so 0.0 and -0.0 differ.
     """
 
     matrix: np.ndarray
-    is_hermitian: bool = False
-    is_projector: bool = False
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=np.complex128, copy=True)
@@ -52,14 +47,16 @@ class LinearOperator:
             raise ValueError(f"operator matrix must be square, got shape {m.shape}")
         if not np.all(np.isfinite(m.view(np.float64))):
             raise ValueError("operator entries must be finite")
-        if self.is_projector and not self.is_hermitian:
-            raise ValueError("a projector must also be flagged hermitian")
-        if self.is_hermitian and np.max(np.abs(m - m.conj().T)) > _FLAG_TOL:
-            raise ValueError("matrix flagged hermitian is not hermitian")
-        if self.is_projector and np.max(np.abs(m @ m - m)) > _FLAG_TOL:
-            raise ValueError("matrix flagged projector is not idempotent")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+
+    def __eq__(self, other):
+        if not isinstance(other, LinearOperator):
+            return NotImplemented
+        return self.matrix.tobytes() == other.matrix.tobytes()
+
+    def __hash__(self):
+        return hash(self.matrix.tobytes())
 
     @property
     def dim(self) -> int:
@@ -68,12 +65,12 @@ class LinearOperator:
 
 def same_box_projector(a: int, b: int) -> LinearOperator:
     """Projector onto the span of basis states where pigeons a and b share a box."""
-    return LinearOperator(np.diag(same_box_diagonal(a, b)), is_hermitian=True, is_projector=True)
+    return LinearOperator(np.diag(same_box_diagonal(a, b)))
 
 
 def all_same_box_projector() -> LinearOperator:
     """Projector onto |000> and |111>: all three pigeons in one box."""
-    return LinearOperator(np.diag(ALL_SAME_DIAGONAL), is_hermitian=True, is_projector=True)
+    return LinearOperator(np.diag(ALL_SAME_DIAGONAL))
 
 
 def pair_only_projector(a: int, b: int) -> LinearOperator:
@@ -83,7 +80,7 @@ def pair_only_projector(a: int, b: int) -> LinearOperator:
     difference of nested projectors is again a projector.
     """
     diag = np.subtract(same_box_diagonal(a, b), ALL_SAME_DIAGONAL)
-    return LinearOperator(np.diag(diag), is_hermitian=True, is_projector=True)
+    return LinearOperator(np.diag(diag))
 
 
 def one_pair_projector() -> LinearOperator:
@@ -93,12 +90,12 @@ def one_pair_projector() -> LinearOperator:
     stays a projector and together with all_same_box_projector resolves the
     identity.
     """
-    return LinearOperator(np.diag(ONE_PAIR_DIAGONAL), is_hermitian=True, is_projector=True)
+    return LinearOperator(np.diag(ONE_PAIR_DIAGONAL))
 
 
 def shared_pair_count() -> LinearOperator:
     """Sum of the three same-box projectors; counts same-box pairs per basis state."""
-    return LinearOperator(np.diag(PAIR_COUNT_DIAGONAL), is_hermitian=True)
+    return LinearOperator(np.diag(PAIR_COUNT_DIAGONAL))
 
 
 def apply_operator(op: LinearOperator, state: StateVector) -> StateVector:
@@ -109,10 +106,11 @@ def apply_operator(op: LinearOperator, state: StateVector) -> StateVector:
 
 
 def operator_rank(op: LinearOperator) -> int:
-    """Rank of a projector: its trace, rounded to an integer."""
-    if not op.is_projector:
-        raise ValueError("operator_rank expects a projector-flagged operator")
-    return round(np.trace(op.matrix).real)
+    """Rank of a projector: its trace, rounded to an integer; ValueError unless hermitian and idempotent to 1e-12."""
+    m = op.matrix
+    if max(np.max(np.abs(m - m.conj().T)), np.max(np.abs(m @ m - m))) > 1e-12:
+        raise ValueError("operator_rank expects a projector: a hermitian, idempotent matrix")
+    return round(np.trace(m).real)
 
 
 def evolution_closed_form(epsilon_t: float) -> LinearOperator:

@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gates import BARRIER, CX, H, MEASURE, RX, X, Gate, _check_fits  # noqa: F401 - perfbench/ reads states.RX
+from .gates import BARRIER, CX, H, MEASURE, RX, X, Gate, _check_fits, _check_index  # noqa: F401 - perfbench/ reads states.RX
 
 MAX_QUBITS = 24
 
@@ -49,9 +49,8 @@ def _rx_matrix(theta: float) -> np.ndarray:
     return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
 
 
-def _check_qubit_count(n_qubits: int) -> None:
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise ValueError(f"n_qubits must be in 1..{MAX_QUBITS}, got {n_qubits}")
+def _check_qubit_count(n_qubits: int) -> int:
+    return _check_index(n_qubits, "n_qubits", 1, MAX_QUBITS + 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,7 +71,7 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self):
-        _check_qubit_count(self.n_qubits)
+        object.__setattr__(self, "n_qubits", _check_qubit_count(self.n_qubits))
         object.__setattr__(self, "amps", np.array(self.amps, dtype=np.complex128, copy=True))
         self._freeze()
 
@@ -110,12 +109,10 @@ class StateVector:
 
 
 def basis_state(n_qubits: int, index: int) -> StateVector:
-    """Computational basis state |index> on ``n_qubits`` qubits."""
-    _check_qubit_count(n_qubits)
-    if not 0 <= index < 2**n_qubits:
-        raise ValueError(f"basis index {index} out of range for {n_qubits} qubits")
+    """Computational basis state |index>, 0 <= index < 2**n_qubits, on 1..MAX_QUBITS qubits; both integers, not bools."""
+    n_qubits = _check_qubit_count(n_qubits)
     amps = np.zeros(2**n_qubits, dtype=complex)
-    amps[index] = 1.0
+    amps[_check_index(index, "basis index", 0, 2**n_qubits)] = 1.0
     return StateVector._owning(n_qubits, amps)
 
 
@@ -125,7 +122,7 @@ def plus_state(n_qubits: int) -> StateVector:
     Built gate by gate rather than filled with 2**(-n/2) so that it is
     bit-for-bit identical to n sequential Hadamard applications.
     """
-    return _evolve(n_qubits, [Gate.h(q) for q in range(n_qubits)])
+    return _evolve(n_qubits, [Gate.h(q) for q in range(_check_qubit_count(n_qubits))])
 
 
 def plus_i_state(signs: tuple[int, ...]) -> StateVector:
@@ -134,9 +131,7 @@ def plus_i_state(signs: tuple[int, ...]) -> StateVector:
     ``signs`` entries must be +1 or -1.  Flipping every sign conjugates all
     amplitudes.
     """
-    n = len(signs)
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"need 1..{MAX_QUBITS} signs, got {n}")
+    n = _check_qubit_count(len(signs))
     if any(s not in (1, -1) for s in signs):
         raise ValueError(f"signs must be +1 or -1, got {signs!r}")
     factors = [np.array([_SQRT_HALF, 1j * s * _SQRT_HALF], dtype=complex) for s in signs]
@@ -226,7 +221,7 @@ def _evolve(n: int, gates: Sequence[Gate], start: StateVector | None = None) -> 
     that is smaller).
     """
     if start is None:
-        _check_qubit_count(n)
+        n = _check_qubit_count(n)
         work = np.zeros(2**n, dtype=np.complex128)
         work[0] = 1.0
         src = work

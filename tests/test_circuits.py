@@ -121,6 +121,10 @@ def test_noise_model_validation():
         NoiseModel(-0.1)
     with pytest.raises(ValueError):
         NoiseModel(math.nan)
+    # bool is an int, but NoiseModel(False) would render as "readout_flip_prob": false
+    for p in (False, True):
+        with pytest.raises(ValueError):
+            NoiseModel(p)
 
 
 def test_simulate_empty_circuit():
@@ -426,8 +430,10 @@ def test_postselect_group_rejects_overlap():
 
 def test_postselect_group_rejects_out_of_range_bits():
     hist = ShotHistogram(counts={"000": 1}, shots=1, seed=0)
-    with pytest.raises(ValueError):
-        postselect_group(hist, (0, 1), (5,))
+    # above the key width, below 0, or not an integer
+    for pigeon, ancilla in (((0, 1), (5,)), ((-1, 0), (2,)), ((0, 1), (-5,)), ((0.0, 1), (2,)), ((True, 0), (2,))):
+        with pytest.raises(ValueError):
+            postselect_group(hist, pigeon, ancilla)
 
 
 def test_grouped_expected_on_pair_check():

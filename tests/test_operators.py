@@ -146,17 +146,28 @@ def test_verify_identities_rejects_bad_tolerance():
 
 
 def test_linear_operator_flag_validation():
-    with pytest.raises(ValueError):
-        LinearOperator(np.array([[0.0, 1.0], [0.0, 0.0]]), is_hermitian=True)
-    with pytest.raises(ValueError):
-        LinearOperator(np.eye(2) * 2.0, is_hermitian=True, is_projector=True)
-    with pytest.raises(ValueError):
-        LinearOperator(np.eye(2), is_projector=True)  # projector implies hermitian flag
+    # operator_rank checks for itself that it has a projector: these are neither
+    # hermitian nor idempotent, hermitian only, and idempotent only
+    for matrix in ([[0.0, 1.0], [0.0, 0.0]], np.eye(2) * 2.0, [[1.0, 1.0], [0.0, 0.0]]):
+        with pytest.raises(ValueError, match="projector"):
+            operator_rank(LinearOperator(np.array(matrix)))
     with pytest.raises(ValueError):
         LinearOperator(np.ones((2, 3)))
     for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
         with pytest.raises(ValueError, match="finite"):
             LinearOperator(np.array([[1.0, 0.0], [0.0, bad]]))
+
+
+def test_linear_operator_equality_and_hash():
+    op = same_box_projector(0, 1)
+    same = same_box_projector(1, 0)
+    assert op == same and hash(op) == hash(same)
+    assert op != all_same_box_projector()
+    assert op != LinearOperator(np.eye(4))
+    zero = LinearOperator(np.zeros((2, 2)))
+    assert zero != LinearOperator(-np.zeros((2, 2)))
+    assert op != op.matrix.tolist()
+    assert len({op, same, zero, all_same_box_projector()}) == 3
 
 
 def test_apply_operator_keeps_projection_norm():

@@ -98,8 +98,9 @@ def test_gate_validation():
         Gate("Y", qubit=0)
     with pytest.raises(ValueError):
         Gate.cx(1, 1)
-    with pytest.raises(ValueError):
-        Gate.rx(0, math.inf)
+    for theta in (math.inf, "0.5", False, True):
+        with pytest.raises(ValueError):
+            Gate.rx(0, theta)
     # each kind takes exactly the operands its QASM statement names
     values = {"qubit": 0, "target": 1, "theta": 0.5, "cbit": 2}
     for kind, (template, _) in _STATEMENTS.items():
