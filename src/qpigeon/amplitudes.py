@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .boxes import ALL_SAME_DIAGONAL, N_PIGEONS, PAIR_COUNT_DIAGONAL, _check_pair, evolution_diagonal, same_box_diagonal
-from .gates import _check_index
+from .gates import _check_index, _check_real
 
 ALL_SAME_SIGN = "ALL_SAME_SIGN"
 ONE_MINORITY_SIGN = "ONE_MINORITY_SIGN"
@@ -44,16 +44,16 @@ _SQRT32 = math.sqrt(32.0)
 class FinalStateLabel:
     """Sign tuple (s0, s1, s2) naming one circular-basis product state.
 
-    signs[k] is +1 or -1 and belongs to qubit k.  Rendered with qubit 0
-    rightmost to match ket order, e.g. (-1, 1, 1) prints as "++-".
+    signs[k] is the int +1 or -1, not a bool, and belongs to qubit k.
+    Rendered with qubit 0 rightmost to match ket order: (-1, 1, 1) prints as "++-".
     """
 
     signs: tuple[int, int, int]
 
     def __post_init__(self):
-        if len(self.signs) != 3 or any(s not in (1, -1) for s in self.signs):
+        object.__setattr__(self, "signs", tuple(_check_index(s, "sign", -1, 2) for s in self.signs))
+        if len(self.signs) != 3 or 0 in self.signs:
             raise ValueError(f"signs must be three values from {{+1, -1}}, got {self.signs!r}")
-        object.__setattr__(self, "signs", tuple(self.signs))
 
     @property
     def all_same_sign(self) -> bool:
@@ -175,7 +175,7 @@ def pair_count_matrix_element(label: FinalStateLabel) -> complex:
 
 def closed_form_probability(label: FinalStateLabel, epsilon_t: float) -> float:
     """Class-dependent closed form for the transition probability."""
-    c2 = math.cos(epsilon_t) ** 2
+    c2 = math.cos(_check_real(epsilon_t, "epsilon_t")) ** 2
     if label.all_same_sign:
         return (4.0 - 3.0 * c2) / 8.0
     return c2 / 8.0
@@ -215,8 +215,7 @@ def first_order_derivative(step: float = 1e-4) -> float:
     overlap with the all-same-sign label through shared_pair_count, so this
     should return ~0; the leading behaviour is quadratic.
     """
-    if not 0.0 < step <= 1e-3:
-        raise ValueError(f"step must be in (0, 1e-3], got {step!r}")
+    step = _check_real(step, "step", math.nextafter(0.0, 1.0), 1e-3)
     label = FinalStateLabel((1, 1, 1))
     upper = transition_probability(label, step).prob_numeric
     lower = transition_probability(label, -step).prob_numeric

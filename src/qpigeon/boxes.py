@@ -16,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .gates import _check_index
+from .gates import _check_index, _check_real
 
 N_PIGEONS = 3
 PAIRS = ((0, 1), (0, 2), (1, 2))
@@ -91,8 +91,7 @@ def verify_identities(tolerance: float = 1e-12) -> IdentityReport:
     shared_pair_count.  Each relation is evaluated on every row of
     BOX_VALUES in integers, so a deviation is exact.
     """
-    if not (math.isfinite(tolerance) and tolerance > 0):
-        raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
+    tolerance = _check_real(tolerance, "tolerance", math.nextafter(0.0, 1.0))
     worst: dict[str, int] = {}
     for row in BOX_VALUES:
         same = {pair: row[col] for pair, col in _COLUMN.items()}
@@ -137,8 +136,9 @@ def evolution_diagonal(epsilon_t: float) -> tuple[complex, ...]:
     exp(-i*et)*count + (exp(-3i*et) - 3*exp(-i*et))*all_same,
     which also equals exp(-i*et) * (identity + (exp(-2i*et) - 1)*all_same).
     """
+    epsilon_t = _check_real(epsilon_t, "epsilon_t")
     if not math.isfinite(3.0 * epsilon_t):
-        raise ValueError(f"epsilon_t and 3 * epsilon_t must be finite, got epsilon_t={epsilon_t!r}")
+        raise ValueError(f"3 * epsilon_t must be finite, got epsilon_t={epsilon_t!r}")
     phase = cmath.exp(-1j * epsilon_t)
     phase3 = cmath.exp(-3j * epsilon_t)
     big = phase3 - 3.0 * phase

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import output
-from .gates import BARRIER, MEASURE, Circuit, Gate, _check_index
+from .gates import BARRIER, MEASURE, Circuit, Gate, _check_index, _check_real
 # perfbench/ reads these names from this module; patching apply_gate here does
 # not reach simulate_ideal, which runs states._evolve
 from .gates import ALL_SAME_ANCILLA_CBITS, PIGEON_CBITS, all_same_check_circuit  # noqa: F401
@@ -48,14 +48,12 @@ CHUNK = 1 << 15
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Readout noise: each measured bit flips independently with this probability."""
+    """Readout noise: each measured bit flips independently with this probability, a float in [0, 1)."""
 
     readout_flip_prob: float
 
     def __post_init__(self):
-        p = self.readout_flip_prob
-        if not (isinstance(p, (int, float)) and not isinstance(p, bool) and math.isfinite(p) and 0.0 <= p < 1.0):
-            raise ValueError(f"readout_flip_prob must be in [0, 1), got {p!r}")
+        object.__setattr__(self, "readout_flip_prob", _check_real(self.readout_flip_prob, "readout_flip_prob", 0.0, math.nextafter(1.0, 0.0)))
 
 
 @dataclass(frozen=True)

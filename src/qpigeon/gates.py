@@ -18,6 +18,7 @@ the standard library; states applies the gates and circuits simulates and
 samples the circuits, both with numpy.
 """
 
+import contextlib
 import math
 import numbers
 import re
@@ -53,6 +54,14 @@ def _check_index(value, name: str, low: int, high: int | None = None) -> int:
     raise ValueError(f"{name} must be an integer in [{low}, {'inf' if high is None else high}), got {value!r}")
 
 
+def _check_real(value, name: str, low: float = -math.inf, high: float = math.inf) -> float:
+    """A real number as a float: a numbers.Real, not a bool, finite, with low <= value <= high, else ValueError."""
+    with contextlib.suppress(OverflowError):  # float() of an int or a Fraction beyond the float range
+        if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(real := float(value)) and low <= real <= high:
+            return real
+    raise ValueError(f"{name} must be a finite real number in [{low!r}, {high!r}], got {value!r}")
+
+
 @dataclass(frozen=True)
 class Gate:
     """One instruction: a unitary from {H, X, RX, CX}, a BARRIER, or a MEASURE.
@@ -60,7 +69,7 @@ class Gate:
     ``qubit`` is the control for CX and the measured qubit for MEASURE.
     ``target`` is only set for CX, ``theta`` only for RX, ``cbit`` only for
     MEASURE.  A BARRIER carries no indices and acts on the whole register.
-    Indices are nonnegative integers and ``theta`` is a finite real, neither a bool.
+    Indices are nonnegative integers kept as int and ``theta`` a finite real kept as float, neither a bool.
     """
 
     kind: str
@@ -78,8 +87,7 @@ class Gate:
                 if value is not None:
                     raise ValueError(f"{self.kind} takes no {name}")
             elif name == "theta":
-                if not isinstance(value, numbers.Real) or isinstance(value, bool) or not math.isfinite(value):
-                    raise ValueError(f"{self.kind} needs a finite real theta, got {value!r}")
+                object.__setattr__(self, name, _check_real(value, f"{self.kind} theta"))
             else:
                 object.__setattr__(self, name, _check_index(value, f"{self.kind} {name}", 0))
         if self.kind == CX and self.target == self.qubit:
@@ -182,7 +190,7 @@ def _format_angle(theta: float) -> str:
     for name, value in _ANGLE_NAMES:
         if theta == value:
             return name
-    return repr(float(theta))
+    return repr(theta)
 
 
 def _parse_angle(text: str) -> float:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .boxes import BOX_VALUES
+from .gates import _check_index
 
 COUNTING = "counting"
 PRODUCT_01_12 = "product_01_12"
@@ -32,7 +33,7 @@ CONSTRAINT_NAMES = (COUNTING, PRODUCT_01_12, PRODUCT_01_02, PRODUCT_12_02)
 
 @dataclass(frozen=True)
 class ValueAssignment:
-    """Candidate values (each 0 or 1) for the three pair observables and all-same."""
+    """Candidate values for the three pair observables and all-same, each the int 0 or 1, not a bool."""
 
     v01: int
     v12: int
@@ -41,8 +42,7 @@ class ValueAssignment:
 
     def __post_init__(self):
         for name in ("v01", "v12", "v02", "v_all"):
-            if getattr(self, name) not in (0, 1):
-                raise ValueError(f"{name} must be 0 or 1")
+            object.__setattr__(self, name, _check_index(getattr(self, name), name, 0, 2))
 
     @property
     def pair_count_value(self) -> int:

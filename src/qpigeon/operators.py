@@ -27,6 +27,7 @@ import numpy as np
 
 from .boxes import ALL_SAME_DIAGONAL, ONE_PAIR_DIAGONAL, PAIR_COUNT_DIAGONAL, evolution_diagonal, same_box_diagonal
 from .boxes import verify_identities  # noqa: F401
+from .gates import _check_real
 from .states import StateVector
 
 DIM = 8
@@ -126,8 +127,9 @@ def evolution_series(epsilon_t: float) -> LinearOperator:
     squared s times.  Shares no code path with the closed form, so agreement
     between the two is a real check.
     """
-    if not math.isfinite(epsilon_t):
-        raise ValueError("epsilon_t must be finite")
+    epsilon_t = _check_real(epsilon_t, "epsilon_t")
+    if not math.isfinite(3.0 * epsilon_t):
+        raise ValueError(f"3 * epsilon_t must be finite, got epsilon_t={epsilon_t!r}")
     gen = -1j * epsilon_t * shared_pair_count().matrix
     norm1 = float(np.max(np.sum(np.abs(gen), axis=0)))
     scale = 0 if norm1 < 0.5 else int(math.ceil(math.log2(norm1 / 0.5)))

@@ -128,11 +128,11 @@ def plus_state(n_qubits: int) -> StateVector:
 def plus_i_state(signs: tuple[int, ...]) -> StateVector:
     """Product of circular-basis states (|0> + i*s|1>)/sqrt(2), s = signs[k] on qubit k.
 
-    ``signs`` entries must be +1 or -1.  Flipping every sign conjugates all
-    amplitudes.
+    ``signs`` entries must be the int +1 or -1, not a bool.  Flipping every
+    sign conjugates all amplitudes.
     """
     n = _check_qubit_count(len(signs))
-    if any(s not in (1, -1) for s in signs):
+    if 0 in (signs := [_check_index(s, "sign", -1, 2) for s in signs]):
         raise ValueError(f"signs must be +1 or -1, got {signs!r}")
     factors = [np.array([_SQRT_HALF, 1j * s * _SQRT_HALF], dtype=complex) for s in signs]
     amps = factors[n - 1]

@@ -188,6 +188,10 @@ def test_first_order_derivative_step_validation():
         first_order_derivative(step=0.0)
     with pytest.raises(ValueError):
         first_order_derivative(step=0.01)
+    # the largest step is taken, and the next float above it is not
+    assert abs(first_order_derivative(step=1e-3)) <= 1e-9
+    with pytest.raises(ValueError):
+        first_order_derivative(step=math.nextafter(1e-3, 1.0))
 
 
 def test_second_derivative_is_three_quarters():

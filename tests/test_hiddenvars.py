@@ -1,7 +1,5 @@
 from itertools import permutations
 
-import pytest
-
 from qpigeon.hiddenvars import (
     CONSTRAINT_NAMES,
     COUNTING,
@@ -19,13 +17,6 @@ VALID_SET = {
     ValueAssignment(0, 1, 0, 0),
     ValueAssignment(0, 0, 1, 0),
 }
-
-
-def test_assignment_validation():
-    with pytest.raises(ValueError):
-        ValueAssignment(2, 0, 0, 0)
-    with pytest.raises(ValueError):
-        ValueAssignment(0, 0, 0, -1)
 
 
 def test_enumeration_covers_all_sixteen_candidates():
