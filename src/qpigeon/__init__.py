@@ -35,13 +35,11 @@ _HOMES = {
     "StateVector": "states",
     "ValueAssignment": "hiddenvars",
     "all_labels": "amplitudes",
-    "all_same_box_projector": "operators",
     "all_same_check_circuit": "gates",
     "all_same_matrix_element": "amplitudes",
     "all_same_matrix_element_closed": "amplitudes",
     "amplitude_table": "amplitudes",
     "apply_gate": "states",
-    "apply_operator": "operators",
     "basis_state": "states",
     "box_placement_values": "hiddenvars",
     "closed_form_probability": "amplitudes",
@@ -56,21 +54,16 @@ _HOMES = {
     "histogram_json": "circuits",
     "inner_product": "states",
     "label_state": "amplitudes",
-    "one_pair_projector": "operators",
-    "operator_rank": "operators",
     "pair_check_circuit": "gates",
     "pair_count_matrix_element": "amplitudes",
     "pair_matrix_element": "amplitudes",
     "pair_matrix_element_closed": "amplitudes",
-    "pair_only_projector": "operators",
     "parse_qasm": "gates",
     "pigeonhole_violation_exists": "hiddenvars",
     "plus_i_state": "states",
     "plus_state": "states",
     "postselect_group": "circuits",
-    "same_box_projector": "operators",
     "sample_shots": "circuits",
-    "shared_pair_count": "operators",
     "simulate_ideal": "circuits",
     "transition_probability": "amplitudes",
     "valid_assignments": "hiddenvars",

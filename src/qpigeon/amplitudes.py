@@ -1,7 +1,7 @@
 """Transition amplitudes from the uniform start state to the eight circular end states.
 
 The run begins in the uniform superposition over boxes, evolves under
-exp(-i * epsilon_t * shared_pair_count), and is read out against product
+exp(-i * epsilon_t * pair count), and is read out against product
 states (|0> + i*s_k|1>)/sqrt(2) labelled by the sign tuple (s0, s1, s2).
 Each label falls in one of two classes:
 
@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .boxes import ALL_SAME_DIAGONAL, N_PIGEONS, PAIR_COUNT_DIAGONAL, _check_pair, evolution_diagonal, same_box_diagonal
-from .gates import _check_index, _check_real
+from .gates import _check_index, _check_real, _check_signs
 
 ALL_SAME_SIGN = "ALL_SAME_SIGN"
 ONE_MINORITY_SIGN = "ONE_MINORITY_SIGN"
@@ -51,8 +51,8 @@ class FinalStateLabel:
     signs: tuple[int, int, int]
 
     def __post_init__(self):
-        object.__setattr__(self, "signs", tuple(_check_index(s, "sign", -1, 2) for s in self.signs))
-        if len(self.signs) != 3 or 0 in self.signs:
+        object.__setattr__(self, "signs", _check_signs(self.signs))
+        if len(self.signs) != 3:
             raise ValueError(f"signs must be three values from {{+1, -1}}, got {self.signs!r}")
 
     @property
@@ -134,7 +134,7 @@ class AmplitudeRecord:
 
 
 def pair_matrix_element(label: FinalStateLabel, a: int, b: int) -> complex:
-    """<label| same_box_projector(a, b) |uniform>, computed by direct linear algebra."""
+    """<label| P_ab |uniform> for the diagonal P_ab = boxes.same_box_diagonal(a, b), by direct linear algebra."""
     return _matrix_element(label, _ket(same_box_diagonal(a, b)))
 
 
@@ -154,7 +154,7 @@ def pair_matrix_element_closed(label: FinalStateLabel, a: int, b: int) -> comple
 
 
 def all_same_matrix_element(label: FinalStateLabel) -> complex:
-    """<label| all_same_box_projector |uniform>, computed by direct linear algebra."""
+    """<label| P |uniform> for the diagonal P = boxes.ALL_SAME_DIAGONAL, by direct linear algebra."""
     return _matrix_element(label, _ket(ALL_SAME_DIAGONAL))
 
 
@@ -169,7 +169,7 @@ def all_same_matrix_element_closed(label: FinalStateLabel) -> complex:
 
 
 def pair_count_matrix_element(label: FinalStateLabel) -> complex:
-    """<label| shared_pair_count |uniform>; the sum of the three pair elements."""
+    """<label| N |uniform> for the pair count N = boxes.PAIR_COUNT_DIAGONAL; the sum of the three pair elements."""
     return _matrix_element(label, _ket(PAIR_COUNT_DIAGONAL))
 
 
@@ -212,7 +212,7 @@ def first_order_derivative(step: float = 1e-4) -> float:
     """Central-difference d/d(epsilon_t) of the all-same-sign probability at 0.
 
     The first-order response vanishes because the uniform state has no
-    overlap with the all-same-sign label through shared_pair_count, so this
+    overlap with the all-same-sign label through the pair count, so this
     should return ~0; the leading behaviour is quadratic.
     """
     step = _check_real(step, "step", math.nextafter(0.0, 1.0), 1e-3)

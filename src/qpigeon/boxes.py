@@ -7,8 +7,8 @@ operators as their joint eigenvalues on |z>.  Read as value assignments, the
 rows are the eight classical placements: the joint spectrum of the commuting
 projectors is the valid set that hiddenvars enumerates.  The diagonals, the
 evolution's diagonal and verify_identities (exact integer arithmetic, row by
-row) all derive from the table.  operators wraps the diagonals in dense
-numpy matrices; this module needs only the standard library.
+row) all derive from the table, and each row from where the pigeons sit.
+This module needs only the standard library.
 """
 
 import cmath
@@ -21,16 +21,10 @@ from .gates import _check_index, _check_real
 N_PIGEONS = 3
 PAIRS = ((0, 1), (0, 2), (1, 2))
 
-# BOX_VALUES[z] = (same01, same12, same02, all_same) on basis state |z2 z1 z0>
-BOX_VALUES = (
-    (1, 1, 1, 1),  # |000>: all three together
-    (0, 1, 0, 0),  # |001>: pigeon 0 apart
-    (0, 0, 1, 0),  # |010>: pigeon 1 apart
-    (1, 0, 0, 0),  # |011>: pigeon 2 apart
-    (1, 0, 0, 0),  # |100>: pigeon 2 apart
-    (0, 0, 1, 0),  # |101>: pigeon 1 apart
-    (0, 1, 0, 0),  # |110>: pigeon 0 apart
-    (1, 1, 1, 1),  # |111>: all three together
+# BOX_VALUES[z] = (same01, same12, same02, all_same) on basis state |z2 z1 z0>: 1 where those pigeons share a box
+BOX_VALUES = tuple(
+    (int(z0 == z1), int(z1 == z2), int(z0 == z2), int(z0 == z1 == z2))
+    for z2, z1, z0 in itertools.product((0, 1), repeat=N_PIGEONS)
 )
 # the column of BOX_VALUES holding each pair's same-box value, and the all-same column
 _COLUMN = {(0, 1): 0, (1, 2): 1, (0, 2): 2}
@@ -53,7 +47,7 @@ def _check_pair(a: int, b: int) -> tuple[int, int]:
 
 
 def same_box_diagonal(a: int, b: int) -> tuple[complex, ...]:
-    """Diagonal of same_box_projector(a, b): 1 where pigeons a and b share a box."""
+    """Diagonal of the same-box projector of pigeons a and b: 1 where they share a box."""
     return _SAME_BOX[_check_pair(a, b)]
 
 
@@ -62,7 +56,7 @@ class IdentityReport:
     """Max elementwise deviation for every algebraic relation among the projectors.
 
     ``checks`` maps a relation name to its deviation; ``spectrum`` holds the
-    sorted eigenvalues of shared_pair_count.  ``passed`` is True when every
+    sorted eigenvalues of the pair count.  ``passed`` is True when every
     deviation (including the spectrum's distance from six 1s and two 3s) is
     within ``tolerance``.
     """
@@ -88,7 +82,7 @@ def verify_identities(tolerance: float = 1e-12) -> IdentityReport:
     pair-count minus twice all-same), the product of any two distinct
     same-box projectors collapsing to all-same, idempotency of every
     projector, mutual commutators, and the {1 x 6, 3 x 2} spectrum of
-    shared_pair_count.  Each relation is evaluated on every row of
+    the pair count.  Each relation is evaluated on every row of
     BOX_VALUES in integers, so a deviation is exact.
     """
     tolerance = _check_real(tolerance, "tolerance", math.nextafter(0.0, 1.0))
@@ -129,9 +123,9 @@ def verify_identities(tolerance: float = 1e-12) -> IdentityReport:
 
 
 def evolution_diagonal(epsilon_t: float) -> tuple[complex, ...]:
-    """Diagonal of exp(-i * epsilon_t * shared_pair_count), assembled from two projector terms.
+    """Diagonal of exp(-i * epsilon_t * pair count), assembled from two projector terms.
 
-    Because shared_pair_count = 3*all_same + 1*(identity - all_same) on its
+    Because pair count = 3*all_same + 1*(identity - all_same) on its
     eigenspaces, the exponential is
     exp(-i*et)*count + (exp(-3i*et) - 3*exp(-i*et))*all_same,
     which also equals exp(-i*et) * (identity + (exp(-2i*et) - 1)*all_same).

@@ -62,6 +62,17 @@ def _check_real(value, name: str, low: float = -math.inf, high: float = math.inf
     raise ValueError(f"{name} must be a finite real number in [{low!r}, {high!r}], got {value!r}")
 
 
+def _check_signs(signs) -> tuple[int, ...]:
+    """A sequence of signs as a tuple of ints, each +1 or -1 by _check_index's rule, else ValueError."""
+    try:
+        checked = tuple(_check_index(s, "sign", -1, 2) for s in signs)
+    except TypeError:  # not iterable
+        checked = None
+    if checked is None or 0 in checked:
+        raise ValueError(f"signs must be a sequence of +1 and -1, got {signs!r}")
+    return checked
+
+
 @dataclass(frozen=True)
 class Gate:
     """One instruction: a unitary from {H, X, RX, CX}, a BARRIER, or a MEASURE.

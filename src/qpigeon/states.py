@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gates import BARRIER, CX, H, MEASURE, RX, X, Gate, _check_fits, _check_index  # noqa: F401 - perfbench/ reads states.RX
+from .gates import BARRIER, CX, H, MEASURE, RX, X, Gate, _check_fits, _check_index, _check_signs  # noqa: F401 - perfbench/ reads states.RX
 
 MAX_QUBITS = 24
 
@@ -131,9 +131,8 @@ def plus_i_state(signs: tuple[int, ...]) -> StateVector:
     ``signs`` entries must be the int +1 or -1, not a bool.  Flipping every
     sign conjugates all amplitudes.
     """
+    signs = _check_signs(signs)
     n = _check_qubit_count(len(signs))
-    if 0 in (signs := [_check_index(s, "sign", -1, 2) for s in signs]):
-        raise ValueError(f"signs must be +1 or -1, got {signs!r}")
     factors = [np.array([_SQRT_HALF, 1j * s * _SQRT_HALF], dtype=complex) for s in signs]
     amps = factors[n - 1]
     for k in range(n - 2, -1, -1):

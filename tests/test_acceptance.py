@@ -22,7 +22,7 @@ from qpigeon.amplitudes import (
     pair_matrix_element,
     transition_probability,
 )
-from qpigeon.boxes import PAIRS, verify_identities
+from qpigeon.boxes import ALL_SAME_DIAGONAL, ONE_PAIR_DIAGONAL, PAIR_COUNT_DIAGONAL, PAIRS, same_box_diagonal, verify_identities
 from qpigeon.circuits import histogram_json, sample_shots, simulate_ideal
 from qpigeon.gates import all_same_check_circuit, export_qasm, pair_check_circuit
 from qpigeon.hiddenvars import (
@@ -30,14 +30,7 @@ from qpigeon.hiddenvars import (
     pigeonhole_violation_exists,
     valid_assignments,
 )
-from qpigeon.operators import (
-    all_same_box_projector,
-    evolution_closed_form,
-    evolution_series,
-    one_pair_projector,
-    same_box_projector,
-    shared_pair_count,
-)
+from qpigeon.operators import evolution_closed_form, evolution_series
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -50,14 +43,15 @@ def report(number, description, passed):
 def test_criterion_01_operator_identities():
     start = time.perf_counter()
     eye = np.eye(8)
-    small_p = one_pair_projector().matrix
-    big_p = all_same_box_projector().matrix
-    count = shared_pair_count().matrix
+    # dense oracles of the operators, built from the boxes diagonals
+    small_p = np.diag(ONE_PAIR_DIAGONAL)
+    big_p = np.diag(ALL_SAME_DIAGONAL)
+    count = np.diag(PAIR_COUNT_DIAGONAL)
     devs = [
         np.max(np.abs(eye - (small_p + big_p))),
         np.max(np.abs(eye - (count - 2.0 * big_p))),
     ]
-    mats = [same_box_projector(a, b).matrix for a, b in PAIRS]
+    mats = [np.diag(same_box_diagonal(a, b)) for a, b in PAIRS]
     for i in range(3):
         for j in range(3):
             if i != j:
@@ -71,7 +65,7 @@ def test_criterion_02_pair_count_spectrum():
     eigs = np.array(verify_identities().spectrum)
     dev = float(np.max(np.abs(eigs - np.array([1.0] * 6 + [3.0] * 2))))
     # test-only oracle: LAPACK's eigenvalues of the dense matrix
-    oracle_dev = float(np.max(np.abs(eigs - np.linalg.eigvalsh(shared_pair_count().matrix))))
+    oracle_dev = float(np.max(np.abs(eigs - np.linalg.eigvalsh(np.diag(PAIR_COUNT_DIAGONAL)))))
     report(2, f"pair-count spectrum is six 1s and two 3s within 1e-10 (dev {dev:.2e}, "
               f"eigvalsh dev {oracle_dev:.2e})", dev <= 1e-10 and oracle_dev <= 1e-10)
 

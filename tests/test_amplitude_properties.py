@@ -2,7 +2,7 @@
 
 Two oracles.  The dense computation that preceded the box-basis diagonals:
 the closed-form unitary assembled as a dense 8x8 matrix from the pair-count
-and all-same matrices, applied to the uniform state by a matrix-vector
+and all-same matrices (``np.diag`` of the ``qpigeon.boxes`` diagonals), applied to the uniform state by a matrix-vector
 product, then one ``vdot`` against each label state.  And the numpy
 diagonal route that preceded the plain-Python dot: the diagonal as a numpy
 array times the uniform state, then one ``np.vdot`` against the label state.
@@ -30,19 +30,13 @@ from qpigeon.amplitudes import (
     pair_matrix_element,
 )
 from qpigeon.boxes import ALL_SAME_DIAGONAL, PAIR_COUNT_DIAGONAL, PAIRS, evolution_diagonal, same_box_diagonal
-from qpigeon.operators import (
-    all_same_box_projector,
-    apply_operator,
-    same_box_projector,
-    shared_pair_count,
-)
-from qpigeon.states import inner_product, plus_state
+from qpigeon.states import plus_state
 
 
 def dense_probabilities(epsilon_t: float) -> list[float]:
     phase = cmath.exp(-1j * epsilon_t)
     phase3 = cmath.exp(-3j * epsilon_t)
-    unitary = phase * shared_pair_count().matrix + (phase3 - 3.0 * phase) * all_same_box_projector().matrix
+    unitary = phase * np.diag(PAIR_COUNT_DIAGONAL) + (phase3 - 3.0 * phase) * np.diag(ALL_SAME_DIAGONAL)
     evolved = unitary @ plus_state(3).amps
     return [abs(complex(np.vdot(label_state(label).amps, evolved))) ** 2 for label in all_labels()]
 
@@ -67,17 +61,17 @@ def test_amplitude_table_is_bit_identical_to_the_dense_route(epsilon_t):
     assert [rec.prob_numeric for rec in amplitude_table(epsilon_t)] == expected
 
 
+def dense_element(label, diag) -> complex:
+    """<label| D |uniform> by the dense route: the 8x8 matrix of the diagonal times plus_state(3), then a vdot."""
+    return complex(np.vdot(label_state(label).amps, np.diag(diag) @ plus_state(3).amps))
+
+
 def test_matrix_elements_match_the_dense_projectors():
-    uniform = plus_state(3)
     for label in all_labels():
-        bra = label_state(label)
         for a, b in PAIRS:
-            dense = inner_product(bra, apply_operator(same_box_projector(a, b), uniform))
-            assert abs(pair_matrix_element(label, a, b) - dense) <= 1e-15
-        dense = inner_product(bra, apply_operator(all_same_box_projector(), uniform))
-        assert abs(all_same_matrix_element(label) - dense) <= 1e-15
-        dense = inner_product(bra, apply_operator(shared_pair_count(), uniform))
-        assert abs(pair_count_matrix_element(label) - dense) <= 1e-15
+            assert abs(pair_matrix_element(label, a, b) - dense_element(label, same_box_diagonal(a, b))) <= 1e-15
+        assert abs(all_same_matrix_element(label) - dense_element(label, ALL_SAME_DIAGONAL)) <= 1e-15
+        assert abs(pair_count_matrix_element(label) - dense_element(label, PAIR_COUNT_DIAGONAL)) <= 1e-15
 
 
 def numpy_evolution_diagonal(epsilon_t: float) -> np.ndarray:

@@ -14,11 +14,22 @@ from qpigeon.boxes import (
 )
 from qpigeon.hiddenvars import ValueAssignment, box_placement_values, enumeration_report
 
+# (same01, same12, same02, all_same) on basis state |z2 z1 z0>, typed out
+PLACEMENTS = (
+    (1, 1, 1, 1),  # |000>: all three together
+    (0, 1, 0, 0),  # |001>: pigeon 0 apart
+    (0, 0, 1, 0),  # |010>: pigeon 1 apart
+    (1, 0, 0, 0),  # |011>: pigeon 2 apart
+    (1, 0, 0, 0),  # |100>: pigeon 2 apart
+    (0, 0, 1, 0),  # |101>: pigeon 1 apart
+    (0, 1, 0, 0),  # |110>: pigeon 0 apart
+    (1, 1, 1, 1),  # |111>: all three together
+)
+
 
 def test_rows_are_the_placements_of_the_basis_states():
-    for z, row in enumerate(BOX_VALUES):
-        b0, b1, b2 = z & 1, (z >> 1) & 1, (z >> 2) & 1
-        assert row == (int(b0 == b1), int(b1 == b2), int(b0 == b2), int(b0 == b1 == b2))
+    assert BOX_VALUES == PLACEMENTS
+    assert all(type(value) is int for row in BOX_VALUES for value in row)
 
 
 def test_diagonals_are_the_table_columns():

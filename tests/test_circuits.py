@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from qpigeon.amplitudes import FinalStateLabel, amplitude_table
+from qpigeon.boxes import same_box_diagonal
 from qpigeon.circuits import (
     NoiseModel,
     ShotHistogram,
@@ -31,9 +32,8 @@ from qpigeon.gates import (
     pair_check_circuit,
     parse_qasm,
 )
-from qpigeon.operators import apply_operator, same_box_projector
 from qpigeon.output import write_text_atomic
-from qpigeon.states import inner_product, plus_i_state, plus_state
+from qpigeon.states import StateVector, inner_product, plus_i_state, plus_state
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -45,9 +45,8 @@ def pair_check_support_oracle():
     |<L| p |+++>|^2 with p the (0,1) same-box projector for x = 0 and its
     complement for x = 1, evaluated without any circuit machinery.
     """
-    same01 = same_box_projector(0, 1)
     start = plus_state(3)
-    kept = apply_operator(same01, start)
+    kept = StateVector(3, np.diag(same_box_diagonal(0, 1)) @ start.amps)
     expected = {}
     for bits in range(8):
         label = FinalStateLabel.from_bits(bits)

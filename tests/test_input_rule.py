@@ -8,7 +8,7 @@ exactly as it accepts the Python value, and raises ValueError, never a
 numpy, type or overflow error, for a bool, a string, None, nan, an infinity,
 an integer beyond the float range, or a value out of its own range, which
 each table names beside the entry point.  Integer values also reject a
-float such as 1.0.
+float such as 1.0, and signs that do not come as a sequence are rejected too.
 """
 
 import math
@@ -62,7 +62,8 @@ REAL_TAKERS = {
     "verify_identities tolerance": (verify_identities, (0.0, -1.0)),
     "evolution_diagonal": (evolution_diagonal, (1e308, -1e308)),
     "evolution_closed_form": (evolution_closed_form, (1e308, -1e308)),
-    "evolution_series": (evolution_series, (1e308, -1e308)),
+    # beyond about 1e5 the series overflows or loses unitarity
+    "evolution_series": (evolution_series, (1e308, -1e308, 1e15, 1e18, -1e18, 1e20, 3.1e307, 5.9e307)),
     "closed_form_probability": (lambda v: closed_form_probability(LABEL, v), ()),
     "transition_probability": (lambda v: transition_probability(LABEL, v), (1e308, -1e308)),
     "amplitude_table": (amplitude_table, (1e308, -1e308)),
@@ -78,6 +79,10 @@ INTEGER_VALUE_TAKERS = {
     "ValueAssignment v02": (lambda v: ValueAssignment(0, 0, v, 0), (-1, 2)),
     "ValueAssignment v_all": (lambda v: ValueAssignment(0, 0, 0, v), (-1, 2)),
 }
+
+
+# each takes a sequence of signs
+SIGN_SEQUENCE_TAKERS = {"FinalStateLabel": FinalStateLabel, "plus_i_state": plus_i_state}
 
 
 @pytest.mark.parametrize("take", TAKERS.values(), ids=TAKERS.keys())
@@ -102,6 +107,13 @@ def test_every_sign_and_0_1_value_is_an_integer_in_range(take, out_of_range):
     assert take(np.int64(1)) == take(np.int8(1)) == take(1)
     for bad in (*NEVER, 1.0, np.float64(1.0), *out_of_range):
         with pytest.raises(ValueError):
+            take(bad)
+
+
+@pytest.mark.parametrize("take", SIGN_SEQUENCE_TAKERS.values(), ids=SIGN_SEQUENCE_TAKERS.keys())
+def test_signs_that_are_not_a_sequence_raise_value_error(take):
+    for bad in (5, None, 1.0, np.int64(1), np.array(1)):
+        with pytest.raises(ValueError, match="signs"):
             take(bad)
 
 

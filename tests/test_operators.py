@@ -3,116 +3,45 @@ import math
 import numpy as np
 import pytest
 
-from qpigeon.boxes import PAIRS, verify_identities
-from qpigeon.operators import (
-    LinearOperator,
-    all_same_box_projector,
-    apply_operator,
-    evolution_closed_form,
-    evolution_series,
-    one_pair_projector,
-    operator_rank,
-    pair_only_projector,
-    same_box_projector,
-    shared_pair_count,
-)
-from qpigeon.states import basis_state, plus_state
+from qpigeon.boxes import ALL_SAME_DIAGONAL, ONE_PAIR_DIAGONAL, PAIR_COUNT_DIAGONAL, PAIRS, same_box_diagonal, verify_identities
+from qpigeon.operators import LinearOperator, evolution_closed_form, evolution_series
 
-
-def test_same_box_projector_action_on_basis_states():
-    proj = same_box_projector(0, 1)
-    kept = apply_operator(proj, basis_state(3, 0))
-    assert np.array_equal(kept.amps, basis_state(3, 0).amps)
-    dropped = apply_operator(proj, basis_state(3, 1))
-    assert np.all(dropped.amps == 0)
-    assert dropped.norm_sq == 0.0
-
-
-def test_same_box_projector_traces():
-    for a, b in PAIRS:
-        assert abs(np.trace(same_box_projector(a, b).matrix) - 4.0) < 1e-12
-
-
-def test_same_box_projector_argument_order_is_irrelevant():
-    assert np.array_equal(same_box_projector(2, 0).matrix, same_box_projector(0, 2).matrix)
-
-
-def test_same_box_projector_validation():
-    with pytest.raises(ValueError):
-        same_box_projector(1, 1)
-    with pytest.raises(ValueError):
-        same_box_projector(0, 3)
-
-
-def test_all_same_box_projector_entries():
-    m = all_same_box_projector().matrix
-    expected = np.zeros((8, 8), dtype=complex)
-    expected[0, 0] = expected[7, 7] = 1.0
-    assert np.array_equal(m, expected)
-
-
-def test_pair_only_projector_action():
-    proj = pair_only_projector(0, 1)
-    # pigeons 0 and 1 share, pigeon 2 sits apart
-    kept = apply_operator(proj, basis_state(3, 4))
-    assert np.array_equal(kept.amps, basis_state(3, 4).amps)
-    # all three together is excluded
-    assert np.all(apply_operator(proj, basis_state(3, 7)).amps == 0)
-    # pigeons 0 and 1 apart is excluded
-    assert np.all(apply_operator(proj, basis_state(3, 1)).amps == 0)
+# the dense matrices of the box algebra, as test oracles: each a boxes diagonal on the diagonal
+SAME = [np.diag(same_box_diagonal(a, b)) for a, b in PAIRS]
+ALL_SAME = np.diag(ALL_SAME_DIAGONAL)
+PAIR_ONLY = [np.diag(np.subtract(same_box_diagonal(a, b), ALL_SAME_DIAGONAL)) for a, b in PAIRS]
+ONE_PAIR = np.diag(ONE_PAIR_DIAGONAL)
+PAIR_COUNT = np.diag(PAIR_COUNT_DIAGONAL)
 
 
 def test_projector_ranks():
-    assert operator_rank(same_box_projector(0, 1)) == 4
-    assert operator_rank(all_same_box_projector()) == 2
-    # subtracting the rank-2 all-same block from a rank-4 block leaves rank 2
-    for a, b in PAIRS:
-        assert operator_rank(pair_only_projector(a, b)) == 2
-    assert operator_rank(one_pair_projector()) == 6
-
-
-def test_operator_rank_requires_projector_flag():
-    with pytest.raises(ValueError):
-        operator_rank(shared_pair_count())
+    # a projector's rank is its trace; the rank-2 all-same block taken from a
+    # rank-4 same-box block leaves rank 2
+    assert [np.trace(m) for m in SAME] == [4, 4, 4]
+    assert [np.trace(m) for m in PAIR_ONLY] == [2, 2, 2]
+    assert np.trace(ALL_SAME) == 2
+    assert np.trace(ONE_PAIR) == 6
 
 
 def test_projector_laws():
-    for op in (
-        same_box_projector(0, 1),
-        same_box_projector(1, 2),
-        same_box_projector(0, 2),
-        all_same_box_projector(),
-        pair_only_projector(0, 1),
-        one_pair_projector(),
-    ):
-        m = op.matrix
+    for m in (*SAME, ALL_SAME, *PAIR_ONLY, ONE_PAIR):
         assert np.max(np.abs(m - m.conj().T)) <= 1e-12
         assert np.max(np.abs(m @ m - m)) <= 1e-12
 
 
 def test_completeness_identities():
     eye = np.eye(8)
-    total = one_pair_projector().matrix + all_same_box_projector().matrix
-    assert np.max(np.abs(eye - total)) <= 1e-12
-    counting = shared_pair_count().matrix - 2.0 * all_same_box_projector().matrix
-    assert np.max(np.abs(eye - counting)) <= 1e-12
+    assert np.max(np.abs(eye - (ONE_PAIR + ALL_SAME))) <= 1e-12
+    assert np.max(np.abs(eye - (PAIR_COUNT - 2.0 * ALL_SAME))) <= 1e-12
 
 
 def test_pairwise_products_collapse_to_all_same():
-    big_p = all_same_box_projector().matrix
-    mats = [same_box_projector(a, b).matrix for a, b in PAIRS]
     for i in range(3):
         for j in range(3):
             if i == j:
                 continue
-            assert np.max(np.abs(mats[i] @ mats[j] - big_p)) <= 1e-12
-            assert np.max(np.abs(mats[i] @ mats[j] - mats[j] @ mats[i])) <= 1e-12
-
-
-def test_shared_pair_count_counts_pairs():
-    diag = np.diag(shared_pair_count().matrix).real
-    # |000> and |111> have all three pairs together, every other state one pair
-    assert np.array_equal(diag, [3, 1, 1, 1, 1, 1, 1, 3])
+            assert np.max(np.abs(SAME[i] @ SAME[j] - ALL_SAME)) <= 1e-12
+            assert np.max(np.abs(SAME[i] @ SAME[j] - SAME[j] @ SAME[i])) <= 1e-12
 
 
 def test_verify_identities_passes():
@@ -140,11 +69,6 @@ def test_verify_identities_report_round_trips_to_dict():
 
 
 def test_linear_operator_flag_validation():
-    # operator_rank checks for itself that it has a projector: these are neither
-    # hermitian nor idempotent, hermitian only, and idempotent only
-    for matrix in ([[0.0, 1.0], [0.0, 0.0]], np.eye(2) * 2.0, [[1.0, 1.0], [0.0, 0.0]]):
-        with pytest.raises(ValueError, match="projector"):
-            operator_rank(LinearOperator(np.array(matrix)))
     with pytest.raises(ValueError):
         LinearOperator(np.ones((2, 3)))
     for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
@@ -153,25 +77,16 @@ def test_linear_operator_flag_validation():
 
 
 def test_linear_operator_equality_and_hash():
-    op = same_box_projector(0, 1)
-    same = same_box_projector(1, 0)
+    op = LinearOperator(np.diag(same_box_diagonal(0, 1)))
+    same = LinearOperator(np.diag(same_box_diagonal(1, 0)))
+    all_same = LinearOperator(ALL_SAME)
     assert op == same and hash(op) == hash(same)
-    assert op != all_same_box_projector()
+    assert op != all_same
     assert op != LinearOperator(np.eye(4))
     zero = LinearOperator(np.zeros((2, 2)))
     assert zero != LinearOperator(-np.zeros((2, 2)))
     assert op != op.matrix.tolist()
-    assert len({op, same, zero, all_same_box_projector()}) == 3
-
-
-def test_apply_operator_keeps_projection_norm():
-    projected = apply_operator(all_same_box_projector(), plus_state(3))
-    assert abs(projected.norm_sq - 0.25) < 1e-12
-
-
-def test_apply_operator_dim_mismatch():
-    with pytest.raises(ValueError):
-        apply_operator(all_same_box_projector(), basis_state(2, 0))
+    assert len({op, same, zero, all_same}) == 3
 
 
 def test_evolution_at_zero_is_identity():
@@ -186,11 +101,10 @@ def test_evolution_at_pi_is_minus_identity():
 
 def test_evolution_closed_form_alternate_factorisation():
     rng = np.random.default_rng(31)
-    big_p = all_same_box_projector().matrix
     for et in rng.uniform(-7.0, 7.0, 20):
         direct = evolution_closed_form(float(et)).matrix
         phase = np.exp(-1j * et)
-        alternate = phase * (np.eye(8) + (np.exp(-2j * et) - 1.0) * big_p)
+        alternate = phase * (np.eye(8) + (np.exp(-2j * et) - 1.0) * ALL_SAME)
         assert np.max(np.abs(direct - alternate)) <= 1e-12
 
 
@@ -219,8 +133,8 @@ def test_evolution_group_property():
 
 
 def test_evolution_rejects_non_finite():
-    # both routes take the same couplings: 3 * 1e308 overflows, and the
-    # closed form's phase and the series' generator both need it
+    # 3 * 1e308 overflows, and the closed form's phase and the series'
+    # generator both need it
     for bad in (1e308, -1e308, math.nan, math.inf, True, "1"):
         for route in (evolution_closed_form, evolution_series):
             with pytest.raises(ValueError, match="epsilon_t"):
