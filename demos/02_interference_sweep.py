@@ -18,7 +18,6 @@ from qpigeon import (
     FinalStateLabel,
     amplitude_table,
     first_order_derivative,
-    transition_probability,
 )
 
 
@@ -50,7 +49,7 @@ def main():
     print(f"central-difference slope of the (+,+,+) probability at 0: {slope:.3e}")
     h = 1e-4
     label = FinalStateLabel((1, 1, 1))
-    probs = [transition_probability(label, et).prob_numeric for et in (-h, 0.0, h)]
+    probs = [amplitude_table(et)[label.to_bits()].prob_numeric for et in (-h, 0.0, h)]
     curvature = (probs[2] - 2.0 * probs[1] + probs[0]) / (h * h)
     print(f"second derivative: {curvature:.6f} (exact value 3/4)")
     print("the response is quadratic, so a weak coupling is invisible at first order.")

@@ -53,7 +53,6 @@ _HOMES = {
     "grouped_expected": "circuits",
     "histogram_json": "circuits",
     "inner_product": "states",
-    "label_state": "amplitudes",
     "pair_check_circuit": "gates",
     "pair_count_matrix_element": "amplitudes",
     "pair_matrix_element": "amplitudes",
@@ -65,7 +64,6 @@ _HOMES = {
     "postselect_group": "circuits",
     "sample_shots": "circuits",
     "simulate_ideal": "circuits",
-    "transition_probability": "amplitudes",
     "valid_assignments": "hiddenvars",
     "verify_identities": "boxes",
 }

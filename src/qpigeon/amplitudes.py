@@ -56,12 +56,8 @@ class FinalStateLabel:
             raise ValueError(f"signs must be three values from {{+1, -1}}, got {self.signs!r}")
 
     @property
-    def all_same_sign(self) -> bool:
-        return self.signs[0] == self.signs[1] == self.signs[2]
-
-    @property
     def outcome_class(self) -> str:
-        return ALL_SAME_SIGN if self.all_same_sign else ONE_MINORITY_SIGN
+        return ALL_SAME_SIGN if self.signs[0] == self.signs[1] == self.signs[2] else ONE_MINORITY_SIGN
 
     def to_bits(self) -> int:
         """Basis index of the measured pattern: sign +1 reads out as bit 0."""
@@ -79,13 +75,6 @@ class FinalStateLabel:
 def all_labels() -> tuple[FinalStateLabel, ...]:
     """All eight labels, ordered by their measured bit pattern."""
     return tuple(FinalStateLabel.from_bits(b) for b in range(8))
-
-
-def label_state(label: FinalStateLabel):
-    """The label's product state as a StateVector (imports numpy)."""
-    from .states import plus_i_state
-
-    return plus_i_state(label.signs)
 
 
 def _label_amps(signs: tuple[int, int, int]) -> tuple[complex, ...]:
@@ -176,47 +165,40 @@ def pair_count_matrix_element(label: FinalStateLabel) -> complex:
 def closed_form_probability(label: FinalStateLabel, epsilon_t: float) -> float:
     """Class-dependent closed form for the transition probability."""
     c2 = math.cos(_check_real(epsilon_t, "epsilon_t")) ** 2
-    if label.all_same_sign:
+    if label.outcome_class == ALL_SAME_SIGN:
         return (4.0 - 3.0 * c2) / 8.0
     return c2 / 8.0
 
 
-def transition_probability(label: FinalStateLabel, epsilon_t: float) -> AmplitudeRecord:
-    """Probability of reading out ``label`` after evolving for ``epsilon_t``.
+def amplitude_table(epsilon_t: float) -> tuple[AmplitudeRecord, ...]:
+    """All eight records at one coupling, in the order of all_labels(); their probabilities sum to 1.
 
     prob_numeric is |<label| U |uniform>|^2 with U from evolution_diagonal;
     prob_closed is the class formula.  The CLI exits 1 when the two differ by
     more than 1e-10, so a drifting convention cannot pass silently.
     """
-    return _record(label, epsilon_t, _ket(evolution_diagonal(epsilon_t)))
-
-
-def amplitude_table(epsilon_t: float) -> tuple[AmplitudeRecord, ...]:
-    """All eight records at one coupling; their probabilities sum to 1."""
     ket = _ket(evolution_diagonal(epsilon_t))
-    return tuple(_record(label, epsilon_t, ket) for label in all_labels())
-
-
-def _record(label: FinalStateLabel, epsilon_t: float, ket: tuple[complex, ...]) -> AmplitudeRecord:
-    """The label's record at ``epsilon_t``, given that coupling's evolved uniform state from _ket."""
-    return AmplitudeRecord(
-        label=label,
-        epsilon_t=float(epsilon_t),
-        prob_closed=closed_form_probability(label, epsilon_t),
-        prob_numeric=abs(_matrix_element(label, ket)) ** 2,
-        outcome_class=label.outcome_class,
+    return tuple(
+        AmplitudeRecord(
+            label=label,
+            epsilon_t=float(epsilon_t),
+            prob_closed=closed_form_probability(label, epsilon_t),
+            prob_numeric=abs(_matrix_element(label, ket)) ** 2,
+            outcome_class=label.outcome_class,
+        )
+        for label in all_labels()
     )
 
 
-def first_order_derivative(step: float = 1e-4) -> float:
-    """Central-difference d/d(epsilon_t) of the all-same-sign probability at 0.
+def first_order_derivative() -> float:
+    """Central-difference d/d(epsilon_t) of the (+,+,+) probability at 0, with step 1e-4.
 
     The first-order response vanishes because the uniform state has no
     overlap with the all-same-sign label through the pair count, so this
-    should return ~0; the leading behaviour is quadratic.
+    returns 0; the leading behaviour is quadratic.
     """
-    step = _check_real(step, "step", math.nextafter(0.0, 1.0), 1e-3)
-    label = FinalStateLabel((1, 1, 1))
-    upper = transition_probability(label, step).prob_numeric
-    lower = transition_probability(label, -step).prob_numeric
+    step = 1e-4
+    plus = FinalStateLabel((1, 1, 1)).to_bits()
+    upper = amplitude_table(step)[plus].prob_numeric
+    lower = amplitude_table(-step)[plus].prob_numeric
     return (upper - lower) / (2.0 * step)

@@ -25,12 +25,11 @@ from qpigeon.amplitudes import (
     all_labels,
     all_same_matrix_element,
     amplitude_table,
-    label_state,
     pair_count_matrix_element,
     pair_matrix_element,
 )
 from qpigeon.boxes import ALL_SAME_DIAGONAL, PAIR_COUNT_DIAGONAL, PAIRS, evolution_diagonal, same_box_diagonal
-from qpigeon.states import plus_state
+from qpigeon.states import plus_i_state, plus_state
 
 
 def dense_probabilities(epsilon_t: float) -> list[float]:
@@ -38,7 +37,7 @@ def dense_probabilities(epsilon_t: float) -> list[float]:
     phase3 = cmath.exp(-3j * epsilon_t)
     unitary = phase * np.diag(PAIR_COUNT_DIAGONAL) + (phase3 - 3.0 * phase) * np.diag(ALL_SAME_DIAGONAL)
     evolved = unitary @ plus_state(3).amps
-    return [abs(complex(np.vdot(label_state(label).amps, evolved))) ** 2 for label in all_labels()]
+    return [abs(complex(np.vdot(plus_i_state(label.signs).amps, evolved))) ** 2 for label in all_labels()]
 
 
 @settings(max_examples=300, deadline=None)
@@ -63,7 +62,7 @@ def test_amplitude_table_is_bit_identical_to_the_dense_route(epsilon_t):
 
 def dense_element(label, diag) -> complex:
     """<label| D |uniform> by the dense route: the 8x8 matrix of the diagonal times plus_state(3), then a vdot."""
-    return complex(np.vdot(label_state(label).amps, np.diag(diag) @ plus_state(3).amps))
+    return complex(np.vdot(plus_i_state(label.signs).amps, np.diag(diag) @ plus_state(3).amps))
 
 
 def test_matrix_elements_match_the_dense_projectors():
@@ -82,7 +81,7 @@ def numpy_evolution_diagonal(epsilon_t: float) -> np.ndarray:
 
 def vdot_element(label, diag) -> complex:
     """<label| D |uniform> by the numpy diagonal route: a vdot against the diagonal times plus_state(3)."""
-    return complex(np.vdot(label_state(label).amps, np.asarray(diag) * plus_state(3).amps))
+    return complex(np.vdot(plus_i_state(label.signs).amps, np.asarray(diag) * plus_state(3).amps))
 
 
 def bits(value: complex) -> bytes:
@@ -92,7 +91,7 @@ def bits(value: complex) -> bytes:
 def test_python_amplitudes_have_the_state_vectors_bytes():
     for label in all_labels():
         python_amps = np.array(amplitudes._LABEL_AMPS[label.to_bits()], dtype=complex)
-        assert python_amps.tobytes() == label_state(label).amps.tobytes()
+        assert python_amps.tobytes() == plus_i_state(label.signs).amps.tobytes()
     assert np.full(8, amplitudes._UNIFORM).tobytes() == plus_state(3).amps.tobytes()
 
 

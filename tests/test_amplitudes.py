@@ -14,11 +14,9 @@ from qpigeon.amplitudes import (
     amplitude_table,
     closed_form_probability,
     first_order_derivative,
-    label_state,
     pair_count_matrix_element,
     pair_matrix_element,
     pair_matrix_element_closed,
-    transition_probability,
 )
 
 PAIRS = ((0, 1), (0, 2), (1, 2))
@@ -130,8 +128,7 @@ def test_conjugation_symmetry():
 
 
 def test_transition_probability_at_zero():
-    for label in all_labels():
-        rec = transition_probability(label, 0.0)
+    for rec in amplitude_table(0.0):
         assert abs(rec.prob_numeric - 0.125) <= 1e-12
         assert abs(rec.prob_closed - 0.125) <= 1e-15
 
@@ -145,8 +142,9 @@ def test_transition_probability_at_quarter_pi():
 
 
 def test_transition_probability_at_half_pi():
-    majority = transition_probability(FinalStateLabel((1, 1, 1)), math.pi / 2.0)
-    minority = transition_probability(FinalStateLabel((-1, 1, 1)), math.pi / 2.0)
+    table = amplitude_table(math.pi / 2.0)
+    majority = table[FinalStateLabel((1, 1, 1)).to_bits()]
+    minority = table[FinalStateLabel((-1, 1, 1)).to_bits()]
     assert abs(majority.prob_numeric - 0.5) <= 1e-12
     assert minority.prob_numeric <= 1e-12
 
@@ -180,35 +178,18 @@ def test_class_counts_in_table():
 
 def test_first_order_derivative_vanishes():
     assert abs(first_order_derivative()) <= 1e-6
-    assert abs(first_order_derivative(step=5e-4)) <= 1e-6
-
-
-def test_first_order_derivative_step_validation():
-    with pytest.raises(ValueError):
-        first_order_derivative(step=0.0)
-    with pytest.raises(ValueError):
-        first_order_derivative(step=0.01)
-    # the largest step is taken, and the next float above it is not
-    assert abs(first_order_derivative(step=1e-3)) <= 1e-9
-    with pytest.raises(ValueError):
-        first_order_derivative(step=math.nextafter(1e-3, 1.0))
 
 
 def test_second_derivative_is_three_quarters():
     h = 1e-4
     label = FinalStateLabel((1, 1, 1))
-    f = lambda et: transition_probability(label, et).prob_numeric
+    f = lambda et: amplitude_table(et)[label.to_bits()].prob_numeric
     second = (f(h) - 2.0 * f(0.0) + f(-h)) / (h * h)
     assert abs(second - 0.75) <= 1e-4
 
 
-def test_label_state_norm():
-    for label in all_labels():
-        assert abs(label_state(label).norm_sq - 1.0) <= 1e-12
-
-
 def test_non_finite_coupling_is_rejected():
     with pytest.raises(ValueError):
-        transition_probability(FinalStateLabel((1, 1, 1)), math.nan)
+        amplitude_table(math.nan)
     with pytest.raises(ValueError):
         amplitude_table(math.inf)

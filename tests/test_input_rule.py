@@ -22,9 +22,7 @@ from qpigeon.amplitudes import (
     FinalStateLabel,
     amplitude_table,
     closed_form_probability,
-    first_order_derivative,
     pair_matrix_element_closed,
-    transition_probability,
 )
 from qpigeon.boxes import evolution_diagonal, same_box_diagonal, verify_identities
 from qpigeon.circuits import NoiseModel, histogram_json, sample_shots
@@ -65,9 +63,7 @@ REAL_TAKERS = {
     # beyond about 1e5 the series overflows or loses unitarity
     "evolution_series": (evolution_series, (1e308, -1e308, 1e15, 1e18, -1e18, 1e20, 3.1e307, 5.9e307)),
     "closed_form_probability": (lambda v: closed_form_probability(LABEL, v), ()),
-    "transition_probability": (lambda v: transition_probability(LABEL, v), (1e308, -1e308)),
     "amplitude_table": (amplitude_table, (1e308, -1e308)),
-    "first_order_derivative step": (lambda v: first_order_derivative(step=v), (0.0, -1e-4, 1e-2)),
 }
 
 # each takes one sign or 0/1 value, for which 1 is in range, and the values out of its own range

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import tracemalloc
@@ -166,6 +167,11 @@ def test_plus_i_state_all_plus_amplitudes():
     state = plus_i_state((1, 1, 1))
     expected = np.array([1, 1j, 1j, -1, 1j, -1, -1, -1j]) * INV_SQRT8
     assert np.allclose(state.amps, expected, atol=1e-12)
+
+
+def test_plus_i_state_norm():
+    for signs in itertools.product((1, -1), repeat=3):
+        assert abs(plus_i_state(signs).norm_sq - 1.0) <= 1e-12
 
 
 def test_plus_i_state_single_minus():
