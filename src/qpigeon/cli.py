@@ -12,6 +12,7 @@ when set, else 0.  Only simulate and sample load numpy (through circuits).
 """
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -21,6 +22,8 @@ from . import boxes, gates, output
 from . import hiddenvars as hv_mod
 
 SEED_ENV_VAR = "QPIGEON_SEED"
+# every row of a sweep is built before the first is printed, so a larger sweep is refused, not built
+MAX_SWEEP_STEPS = 100_000
 
 _CIRCUITS = {
     "pi": (gates.pair_check_circuit, gates.PAIR_CHECK_ANCILLA_CBITS),
@@ -39,7 +42,10 @@ def _default_seed() -> int:
 
 
 def _parse_sweep(text: str) -> list[float]:
-    """Either a single value or start:stop:steps with both endpoints included."""
+    """Either a single value or start:stop:steps with both endpoints included.
+
+    A sweep takes at most MAX_SWEEP_STEPS points, spaced by a finite width.
+    """
     parts = text.split(":")
     try:
         if len(parts) == 1:
@@ -47,9 +53,13 @@ def _parse_sweep(text: str) -> list[float]:
         if len(parts) == 3:
             start, stop = float(parts[0]), float(parts[1])
             steps = gates._check_index(int(parts[2]), "steps", 1)
+            if steps > MAX_SWEEP_STEPS:
+                raise argparse.ArgumentTypeError(f"a sweep takes at most {MAX_SWEEP_STEPS} steps, got {text!r}")
             if steps == 1:
                 return [start]
             width = (stop - start) / (steps - 1)
+            if not math.isfinite(width):
+                raise argparse.ArgumentTypeError(f"sweep {text!r} has no finite spacing (stop - start) / (steps - 1)")
             return [start + k * width for k in range(steps)]
     except ValueError:
         pass

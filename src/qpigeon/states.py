@@ -61,10 +61,10 @@ class StateVector:
     and frozen read-only.  States built by this module's gate runs take
     ownership of their work buffer instead of copying it, with the same
     checks.  ``norm_sq``, the exact sum of |amps|^2, is computed on first
-    read and then kept.  Projected states may carry ``norm_sq`` < 1; nothing
-    here renormalises implicitly.  Two states are equal, and hash alike,
-    when their qubit counts and amplitude bytes are equal, so 0.0 and -0.0
-    amplitudes differ.
+    read and then kept.  A state built from given amplitudes keeps their
+    norm, which need not be 1; nothing here renormalises implicitly.  Two
+    states are equal, and hash alike, when their qubit counts and amplitude
+    bytes are equal, so 0.0 and -0.0 amplitudes differ.
     """
 
     n_qubits: int

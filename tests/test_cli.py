@@ -59,10 +59,23 @@ def test_amplitudes_single_value_json(capsys):
 
 
 def test_amplitudes_rejects_malformed_sweep(capsys):
-    for sweep in ("0:1", "0:1:0", "x:1:3"):
+    assert len(cli._parse_sweep(f"0:1:{cli.MAX_SWEEP_STEPS}")) == cli.MAX_SWEEP_STEPS
+    malformed = "expected VALUE or START:STOP:STEPS"
+    too_long = f"a sweep takes at most {cli.MAX_SWEEP_STEPS} steps"
+    for sweep, reason in (
+        ("0:1", malformed),
+        ("0:1:0", malformed),
+        ("x:1:3", malformed),
+        (f"0:1:{cli.MAX_SWEEP_STEPS + 1}", too_long),
+        ("0:1:100000000000", too_long),
+        # both endpoints are finite, but stop - start overflows
+        ("-1e308:1e308:3", "has no finite spacing"),
+    ):
         with pytest.raises(SystemExit) as err:
             cli.main(["amplitudes", "--epsilon-t", sweep])
         assert err.value.code == 2
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert reason in message and repr(sweep) in message
 
 
 def test_amplitudes_one_step_sweep_is_its_start(capsys):

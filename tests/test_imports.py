@@ -67,6 +67,44 @@ def test_sampling_at_most_chunk_shots_does_not_import_the_thread_pool():
     assert report == {"code": 0, "package": False, "command": False}
 
 
+# calls every public callable defined in qpigeon.amplitudes, then reports which
+# it called, which the module defines, and whether numpy was imported
+CALL_EVERY_AMPLITUDES_CALLABLE = """
+import json, sys
+from qpigeon import amplitudes as amp
+label = amp.FinalStateLabel((1, -1, 1))
+calls = {
+    "FinalStateLabel": lambda: (amp.FinalStateLabel.from_bits(5).to_bits(), str(label), label.outcome_class),
+    "AmplitudeRecord": lambda: amp.AmplitudeRecord(label, 0.5, 0.1, 0.1, amp.ONE_MINORITY_SIGN),
+    "all_labels": amp.all_labels,
+    "pair_matrix_element": lambda: amp.pair_matrix_element(label, 0, 1),
+    "pair_matrix_element_closed": lambda: amp.pair_matrix_element_closed(label, 0, 1),
+    "all_same_matrix_element": lambda: amp.all_same_matrix_element(label),
+    "all_same_matrix_element_closed": lambda: amp.all_same_matrix_element_closed(label),
+    "pair_count_matrix_element": lambda: amp.pair_count_matrix_element(label),
+    "closed_form_probability": lambda: amp.closed_form_probability(label, 0.5),
+    "amplitude_table": lambda: amp.amplitude_table(0.5),
+    "first_order_derivative": amp.first_order_derivative,
+}
+for call in calls.values():
+    call()
+public = [name for name, value in vars(amp).items()
+          if not name.startswith("_") and callable(value) and getattr(value, "__module__", None) == amp.__name__]
+print(json.dumps({"called": sorted(calls), "public": sorted(public), "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_every_amplitudes_callable_runs_without_numpy():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", CALL_EVERY_AMPLITUDES_CALLABLE], env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["called"] == report["public"]
+    assert report["numpy"] is False
+
+
 @pytest.mark.parametrize("name", qpigeon.__all__)
 def test_public_name_resolves_to_its_home_module(name):
     home = importlib.import_module(f"qpigeon.{qpigeon._HOMES[name]}")
