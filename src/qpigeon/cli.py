@@ -42,10 +42,7 @@ def _default_seed() -> int:
 
 
 def _parse_sweep(text: str) -> list[float]:
-    """Either a single value or start:stop:steps with both endpoints included.
-
-    A sweep takes at most MAX_SWEEP_STEPS points, spaced by a finite width.
-    """
+    """Either a single value or start:stop:steps with both endpoints included, at most MAX_SWEEP_STEPS of them."""
     parts = text.split(":")
     try:
         if len(parts) == 1:
