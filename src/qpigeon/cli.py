@@ -72,22 +72,26 @@ def _cmd_identities(args) -> int:
 
 def _cmd_amplitudes(args) -> int:
     failed = False
-    rows = []
-    for et in args.epsilon_t:
-        table = amp_mod.amplitude_table(et)
-        total = sum(rec.prob_numeric for rec in table)
-        if abs(total - 1.0) > 1e-12:
-            failed = True
-        for rec in table:
-            if abs(rec.prob_closed - rec.prob_numeric) > 1e-10:
+
+    def rows():
+        # made as the chosen format reads them: a sweep holds only its output
+        nonlocal failed
+        for et in args.epsilon_t:
+            table = amp_mod.amplitude_table(et)
+            if abs(sum(rec.prob_numeric for rec in table) - 1.0) > 1e-12:
                 failed = True
-            rows.append((rec.epsilon_t, str(rec.label), rec.outcome_class, rec.prob_closed, rec.prob_numeric))
+            for rec in table:
+                if abs(rec.prob_closed - rec.prob_numeric) > 1e-10:
+                    failed = True
+                yield rec.epsilon_t, str(rec.label), rec.outcome_class, rec.prob_closed, rec.prob_numeric
+
     header = ("epsilon_t", "label", "outcome_class", "prob_closed", "prob_numeric")
-    payload = {
-        "phase_convention": amp_mod.PHASE_CONVENTION,
-        "records": [dict(zip(header, row)) for row in rows],
-    }
-    output.render(args.format, header, rows, payload, args.output)
+    if args.format == "csv":
+        text = output.csv_text(header, rows())
+    else:
+        records = [dict(zip(header, row)) for row in rows()]
+        text = output.json_text({"phase_convention": amp_mod.PHASE_CONVENTION, "records": records})
+    output.emit(text, args.output)
     return 1 if failed else 0
 
 

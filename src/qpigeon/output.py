@@ -33,7 +33,8 @@ def csv_text(header, rows) -> str:
     """CSV with the given column names, then one line per row; no quoting."""
     lines = [",".join(header)]
     lines += [",".join(_cell(value) for value in row) for row in rows]
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a second copy of the text
+    return "\n".join(lines)
 
 
 def json_text(payload) -> str:

@@ -12,8 +12,13 @@ Steiger (arXiv:1704.01127): the first gate reads the input state (a run
 from |0...0> writes it into the buffer instead), every later one rewrites
 the buffer in place with a fixed scratch of 2 * _PASS_PAIRS amplitudes,
 and the buffer is frozen into a StateVector once, at the end, without a
-copy.  Every gate is one pair view (the two halves of the pairs it mixes)
-and one walk over it, piece by piece: a single-qubit gate uses the same
+copy.  A single-qubit gate on a qubit q >= 1 whose pair blocks of 2 * 2^q
+amplitudes fit four to the scratch walks the state in contiguous blocks
+through the scratch: numpy runs a complex ufunc on a 1-D contiguous block
+about twice as fast per element as on strided pieces with short rows, and
+copies the input of an in-place ufunc on interleaved pieces of one array.
+Every other gate is one pair view (the two halves of the pairs it mixes)
+walked piece by piece.  Either way a single-qubit gate uses the same
 complex products and sums as a plain numpy expression, so amplitudes are
 bit-for-bit those of gate-by-gate evaluation, and a CX, in place or not,
 swaps the halves through the scratch.  No 2^n x 2^n gate matrix is
@@ -34,7 +39,8 @@ MAX_QUBITS = 24
 # amplitude pairs per piece of a gate's walk in _apply: a piece's two
 # halves and the two scratch halves (1 MiB in all) stay in a 2 MiB L2
 # cache, which made gates on 22 qubits about a third faster than passes
-# over half the state; a run's scratch is one such pair of halves
+# over half the state; a run's scratch is one such pair of halves (in the
+# block walk, one contiguous block and H's coefficients)
 _PASS_PAIRS = 1 << 14
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -60,11 +66,12 @@ class StateVector:
     The amplitude array is copied on construction, checked (shape, finite)
     and frozen read-only.  States built by this module's gate runs take
     ownership of their work buffer instead of copying it, with the same
-    checks.  ``norm_sq``, the exact sum of |amps|^2, is computed on first
-    read and then kept.  A state built from given amplitudes keeps their
-    norm, which need not be 1; nothing here renormalises implicitly.  Two
-    states are equal, and hash alike, when their qubit counts and amplitude
-    bytes are equal, so 0.0 and -0.0 amplitudes differ.
+    checks.  ``norm_sq``, the sum of |amps|^2, is computed at construction
+    by the pass that checks the amplitudes finite.  A state built from given
+    amplitudes keeps their norm, which need not be 1; nothing here
+    renormalises implicitly.  Two states are equal, and hash alike, when
+    their qubit counts and amplitude bytes are equal, so 0.0 and -0.0
+    amplitudes differ.
     """
 
     n_qubits: int
@@ -88,10 +95,15 @@ class StateVector:
         amps = self.amps
         if amps.shape != (2**self.n_qubits,):
             raise ValueError(f"expected {2**self.n_qubits} amplitudes, got shape {amps.shape}")
-        # max and min carry any nan and reach any infinity, with no array of flags
-        flat = amps.view(np.float64)
-        if not (np.isfinite(flat.max()) and np.isfinite(flat.min())):
-            raise ValueError("amplitudes must be finite")
+        # a nan or infinite entry makes the sum of squares nan or inf; only
+        # then do max and min, which carry any nan and reach any infinity,
+        # tell a bad entry from finite entries whose squares overflow
+        norm_sq = float(np.vdot(amps, amps).real)
+        if not math.isfinite(norm_sq):
+            flat = amps.view(np.float64)
+            if not (np.isfinite(flat.max()) and np.isfinite(flat.min())):
+                raise ValueError("amplitudes must be finite")
+        object.__setattr__(self, "norm_sq", norm_sq)
         amps.flags.writeable = False
 
     def __eq__(self, other):
@@ -174,13 +186,36 @@ def _apply(src: np.ndarray, dst: np.ndarray, gate: Gate, n: int, scratch: np.nda
     out-of-place CX copies the control-0 block.  A single-qubit gate computes
     m00*x0 + m01*x1 and m10*x0 + m11*x1 with the same complex products and
     sums as a plain numpy expression, so amplitudes do not depend on buffers.
+
+    A single-qubit gate on qubit q >= 1 whose pair blocks of 2 * 2**q
+    amplitudes fit four to the scratch walks contiguous blocks of half the
+    scratch instead: dst = m00 * src (H: [m00, m11] per pair block, from the
+    other half), then dst += m01 * src with each pair block's halves swapped.
     """
+    size = len(scratch) // 2
+    # on qubit 0 the swap copies rows of one amplitude and costs more than it saves
+    if gate.kind != CX and 0 < gate.qubit and 2 << gate.qubit <= size // 2:
+        m00, m01, m10, m11 = _matrix(gate).ravel()
+        # H, X and RX are symmetric, so m01 * swapped is m01*x1 and m10*x0 at once
+        assert m01 == m10
+        swapped, coef = scratch[:size].reshape(-1, 2, 1 << gate.qubit), scratch[size:]
+        if m00 != m11:
+            coef.reshape(swapped.shape)[:, 0] = m00
+            coef.reshape(swapped.shape)[:, 1] = m11
+        for start in range(0, len(src), size):
+            piece, out = src[start : start + size], dst[start : start + size]
+            np.copyto(swapped[:, 0], piece.reshape(swapped.shape)[:, 1])
+            np.copyto(swapped[:, 1], piece.reshape(swapped.shape)[:, 0])
+            # the piece is spent once swapped, so out may be the piece
+            np.multiply(m00 if m00 == m11 else coef, piece, out=out)
+            np.multiply(m01, scratch[:size], out=scratch[:size])
+            np.add(out, scratch[:size], out=out)
+        return
     a0, a1, idle = _pairs(src, n, gate)
     b0, b1, idle_out = _pairs(dst, n, gate)
     if idle is not None and dst is not src:
         np.copyto(idle_out, idle)
     # all axes and sizes are powers of two, so every piece has one shape
-    size = len(scratch) // 2
     highs, mids, lows = a0.shape
     stack = min(highs, max(1, size // (mids * lows)))
     rows, cols = min(mids, max(1, size // lows)), min(lows, size)

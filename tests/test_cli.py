@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import pytest
 
@@ -84,6 +85,21 @@ def test_amplitudes_one_step_sweep_is_its_start(capsys):
     rows = out.strip().split("\n")[1:]
     assert len(rows) == 8
     assert {row.split(",")[0] for row in rows} == {"0.5"}
+
+
+def test_amplitudes_csv_sweep_holds_only_its_text(capsys):
+    # 2,000 steps print 1.0 MiB of CSV; with every row tuple and the JSON
+    # records built as well the peak read 10.1 MiB, with the CSV alone 3.4
+    run_cli(capsys, "amplitudes", "--epsilon-t", "0:1:2", "--format", "csv")
+    tracemalloc.start()
+    try:
+        code = cli.main(["amplitudes", "--epsilon-t", "0:6.2832:2000", "--format", "csv"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert capsys.readouterr().out.count("\n") == 1 + 8 * 2000
+    assert peak < 5 * 2**20, peak / 2**20
 
 
 def test_simulate_pair_check(capsys):

@@ -170,6 +170,30 @@ def test_plus_state_is_bit_identical_to_reference_kernel(n):
     assert plus_state(n).amps.tobytes() == expected.tobytes()
 
 
+def test_walks_over_many_pieces_are_bit_identical_to_reference_kernel():
+    # at 16 qubits the scratch holds half the state, so every walk, by
+    # contiguous blocks or by pair pieces, takes more than one step
+    n = 16
+    rng = np.random.default_rng(16)
+    amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+    amps /= np.linalg.norm(amps)
+    for part in (amps.real, amps.imag):
+        zeros = rng.random(2**n) < 0.2
+        part[zeros] = np.copysign(0.0, rng.standard_normal(np.count_nonzero(zeros)))
+    for start in (StateVector(n, amps), basis_state(n, 0b1011_0010_1101_0110)):
+        for q in range(n):
+            gates = (Gate.h(q), Gate.x(q), Gate.rx(q, 0.9))
+            for gate in gates:
+                expected = reference_apply(start.amps, gate, n)
+                assert apply_gate(start, gate).amps.tobytes() == expected.tobytes(), gate
+            # the first gate reads start, the next three run in place
+            chain = (Gate.rx(q, 3.0), *gates)
+            expected = start.amps
+            for gate in chain:
+                expected = reference_apply(expected, gate, n)
+            assert states._evolve(n, chain, start).amps.tobytes() == expected.tobytes(), q
+
+
 @settings(max_examples=150, deadline=None)
 @given(circuits())
 def test_simulate_ideal_is_bit_identical_to_reference(circuit):
