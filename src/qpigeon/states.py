@@ -181,16 +181,16 @@ def _apply(src: np.ndarray, dst: np.ndarray, gate: Gate, n: int, scratch: np.nda
     """Write gate * src into dst; dst may be src, which is then updated in place.
 
     ``scratch`` holds a power of two of amplitudes, at least 2 and at most
-    len(src), and is overwritten.  Every gate is one walk over the pairs of
-    ``_pairs``, in pieces of at most len(scratch) // 2 pairs, after an
-    out-of-place CX copies the control-0 block.  A single-qubit gate computes
-    m00*x0 + m01*x1 and m10*x0 + m11*x1 with the same complex products and
-    sums as a plain numpy expression, so amplitudes do not depend on buffers.
-
-    A single-qubit gate on qubit q >= 1 whose pair blocks of 2 * 2**q
-    amplitudes fit four to the scratch walks contiguous blocks of half the
-    scratch instead: dst = m00 * src (H: [m00, m11] per pair block, from the
-    other half), then dst += m01 * src with each pair block's halves swapped.
+    len(src), and is overwritten.  A single-qubit gate on qubit q >= 1 whose
+    pair blocks of 2 * 2**q amplitudes fit four to the scratch walks
+    contiguous blocks of half the scratch: dst = m00 * src (H: [m00, m11]
+    per pair block, from the other half), then dst += m01 * src with each
+    pair block's halves swapped.  Every other gate is one walk over the
+    pairs of ``_pairs``, in pieces of at most len(scratch) // 2 pairs, after
+    an out-of-place CX copies the control-0 block.  Either way a single-qubit
+    gate computes m00*x0 + m01*x1 and m10*x0 + m11*x1 with the same complex
+    products and sums as a plain numpy expression, so amplitudes do not
+    depend on buffers.
     """
     size = len(scratch) // 2
     # on qubit 0 the swap copies rows of one amplitude and costs more than it saves
