@@ -14,15 +14,16 @@ Both functions take outcomes from _distribution as integers over the measured
 bits alone.  Sampling is reproducible: Philox streams keyed by the seed drive
 an inverse-CDF draw over them, so equal inputs give byte-identical histograms
 on any platform.  Above CHUNK shots the second half of the shots runs on a
-one-worker thread pool whose future carries its error back.  Each thread
-places one Philox per stream at its half's first word through the counter
-(Salmon et al., SC'11) and reads on from there in pieces of at most CHUNK
-shots.  Outcomes come from raw 64-bit words through a guide table (Chen
-and Asau, 1974), with an integer binary search only where a bucket holds a
-CDF step; readout flips compare raw words against an exact integer bound.
-Both threads add into one tally under a lock, so memory stays O(CHUNK) plus
-one count per outcome, and the counts do not depend on the order in which
-the threads add them.
+helper thread, the one worker of a thread pool whose future carries its
+error back.  Each thread places one Philox per stream at its half's first
+word through the counter (Salmon et al., SC'11) and reads on from there in
+pieces of at most CHUNK shots.  Outcomes come from raw 64-bit words through
+a guide table (Chen and Asau, 1974), with an integer binary search only
+where a bucket holds a CDF step; without noise the other words are only
+counted per bucket.  Readout flips compare raw words against an exact
+integer bound.  Both threads add into one tally under a lock, so memory
+stays O(CHUNK) plus one count per outcome, and the counts do not depend on
+the order in which the threads add them.
 """
 
 import math
@@ -189,6 +190,20 @@ def _draw_outcomes(steps: np.ndarray, guide: np.ndarray, raw: np.ndarray) -> np.
     return picks
 
 
+def _piece_outcomes(steps: np.ndarray, guide: np.ndarray, raw: np.ndarray, stepped: np.ndarray | None) -> tuple[np.ndarray | None, np.ndarray]:
+    """A piece's outcome words as (None, each word's outcome), or with ``stepped`` as (count per bucket, outcomes).
+
+    ``stepped`` marks the buckets whose guide entry is ``len(steps)``.  Only
+    the words in them get an outcome, by the exact integer search; every
+    word of another bucket has its guide entry as outcome.
+    """
+    if stepped is None:
+        return None, _draw_outcomes(steps, guide, raw)
+    top = (raw >> (65 - len(guide).bit_length())).view(np.int64)
+    words = raw[stepped[top]] if stepped.any() else raw[:0]
+    return np.bincount(top, minlength=len(guide)), np.searchsorted(steps, words >> 11, side="right")
+
+
 def _flip_limit(p: float) -> np.uint64:
     """The raw Philox word bound below which a readout bit flips: ``raw < limit`` exactly when ``u < p``.
 
@@ -224,18 +239,21 @@ def sample_shots(circuit: Circuit, shots: int, seed: int, noise: NoiseModel | No
     each below the flip probability flipping its bit.  A uniform is numpy's
     ``(raw >> 11) * 2**-53`` of a raw 64-bit word, but both draws work on
     the words themselves.  Above CHUNK shots, the calling thread draws
-    shots [0, shots // 2) and a one-worker ThreadPoolExecutor, whose future
-    re-raises its error here, draws [shots // 2, shots); otherwise the
-    calling thread draws them all.  Each thread places one Philox per stream
-    at its first shot's word with ``_philox`` and draws its shots in pieces
-    of at most CHUNK, each reading on from the last.  A word finds its
-    outcome in the guide table at its top bits, with an exact integer
-    search only in buckets that hold a CDF step, and a flip is the exact
-    integer test ``raw < ceil(p * 2**53) << 11``, which holds exactly when
-    the uniform is below p.  Each piece's counts join one tally under a
-    lock: per support outcome without noise, per measured-bit pattern (at
-    most 2**24) with it.  Integer sums commute, so the schedule does not
-    change the counts, and memory is O(CHUNK) plus the tally.  Same
+    shots [0, shots // 2) and a helper thread, the one worker of a
+    ThreadPoolExecutor whose future re-raises its error here, draws
+    [shots // 2, shots); otherwise the calling thread draws them all.  Each
+    thread places one Philox per stream at its first shot's word with
+    ``_philox`` and draws its shots in pieces of at most CHUNK, each reading
+    on from the last.  A word finds its outcome in the guide table at its
+    top bits, with an exact integer search only in buckets that hold a CDF
+    step, and a flip is the exact integer test ``raw < ceil(p * 2**53) << 11``,
+    which holds exactly when the uniform is below p.  Each piece's counts
+    join one tally under a lock: per support outcome without noise, per
+    measured-bit pattern (at most 2**24) with it.  Without noise, and with
+    at most CHUNK guide buckets, unsearched words are counted per bucket
+    instead, and each bucket joins its outcome after the last piece.
+    Integer sums commute, so the schedule does not change the counts, and
+    memory is O(CHUNK) plus the tally.  Same
     (circuit, shots, seed, noise) gives a byte-identical histogram
     everywhere.  ``shots`` >= 1 and 0 <= ``seed`` < 2**64 are integers, not bools.
     """
@@ -251,6 +269,9 @@ def sample_shots(circuit: Circuit, shots: int, seed: int, noise: NoiseModel | No
         limit = _flip_limit(noise.readout_flip_prob)
     # noiseless: the count of each support index; noisy: the count of each pattern
     tally = np.zeros(len(patterns) if noise is None else 1 << k, dtype=np.int64)
+    # noiseless with at most CHUNK buckets: a per-bucket bincount costs no more than the piece
+    stepped = guide == len(steps) if noise is None and len(guide) <= CHUNK else None
+    buckets = None if stepped is None else np.zeros(len(guide), dtype=np.int64)
     lock = threading.Lock()
 
     def work(start: int, stop: int) -> None:
@@ -259,11 +280,13 @@ def sample_shots(circuit: Circuit, shots: int, seed: int, noise: NoiseModel | No
             flips = _philox(seed, shots + start * k)
         for first in range(start, stop, CHUNK):
             size = min(CHUNK, stop - first)
-            drawn = _draw_outcomes(steps, guide, outcomes.random_raw(size))
+            counted, drawn = _piece_outcomes(steps, guide, outcomes.random_raw(size), stepped)
             if noise is None:
                 counts = np.bincount(drawn, minlength=len(patterns))
                 with lock:
                     np.add(tally, counts, out=tally)
+                    if counted is not None:
+                        np.add(buckets, counted, out=buckets)
                 continue
             hits = np.flatnonzero(flips.random_raw(size * k) < limit)
             codes = patterns[drawn]
@@ -281,6 +304,8 @@ def sample_shots(circuit: Circuit, shots: int, seed: int, noise: NoiseModel | No
         helper.result()
     else:
         work(0, shots)
+    if stepped is not None:
+        np.add.at(tally, guide[~stepped], buckets[~stepped])
     seen = np.flatnonzero(tally)
     keys = _bitstrings(patterns[seen] if noise is None else seen, cbits, circuit.n_cbits)
     return ShotHistogram(counts=dict(zip(keys, tally[seen].tolist())), shots=shots, seed=seed, noise=noise)

@@ -90,7 +90,7 @@ def _cmd_amplitudes(args) -> int:
         text = output.csv_text(header, rows())
     else:
         records = [dict(zip(header, row)) for row in rows()]
-        text = output.json_text({"phase_convention": amp_mod.PHASE_CONVENTION, "records": records})
+        text = output.json_chunks({"phase_convention": amp_mod.PHASE_CONVENTION, "records": records})
     output.emit(text, args.output)
     return 1 if failed else 0
 

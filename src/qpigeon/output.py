@@ -5,9 +5,11 @@ JSON documents alike; CSV booleans read ``true``/``false`` as in JSON.
 This module needs only the standard library.
 """
 
+import itertools
 import json
 import os
 import sys
+from collections.abc import Iterable, Iterator
 
 
 def _cell(value) -> str:
@@ -37,26 +39,32 @@ def csv_text(header, rows) -> str:
     return "\n".join(lines)
 
 
+def json_chunks(payload) -> Iterator[str]:
+    """The payload as indented JSON with its floats rounded, ending in a newline, in the encoder's pieces."""
+    return itertools.chain(json.JSONEncoder(indent=2).iterencode(_round12(payload)), "\n")
+
+
 def json_text(payload) -> str:
-    """The payload as indented JSON with its floats rounded, ending in a newline."""
-    return json.dumps(_round12(payload), indent=2) + "\n"
+    """The text of ``json_chunks(payload)``."""
+    return "".join(json_chunks(payload))
 
 
-def emit(text: str, path: str | None) -> None:
-    """Write text to stdout, or atomically to ``path`` when one is given."""
+def emit(text: str | Iterable[str], path: str | None) -> None:
+    """Write text, or its pieces as they come, to stdout, or atomically to ``path`` when one is given."""
+    chunks = [text] if isinstance(text, str) else text
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        write_text_atomic(path, text)
+        write_text_atomic(path, chunks)
 
 
 def render(text_format: str, header, rows, payload, path: str | None) -> None:
-    """Emit the rows as CSV when ``text_format`` is "csv", else the payload as JSON."""
-    emit(csv_text(header, rows) if text_format == "csv" else json_text(payload), path)
+    """Emit the rows as CSV when ``text_format`` is "csv", else the payload as JSON, piece by piece."""
+    emit(csv_text(header, rows) if text_format == "csv" else json_chunks(payload), path)
 
 
-def write_text_atomic(path: str, text: str) -> None:
-    """Write text to ``path`` via a same-directory temp file and atomic rename.
+def write_text_atomic(path: str, chunks: Iterable[str]) -> None:
+    """Write ``chunks``, the pieces of a text in order, to ``path`` via a same-directory temp file and atomic rename.
 
     It is created like ``open`` creates a file (mode 0o666 less the umask)
     and reaches the disk (fsync) before the rename, its directory entry after.
@@ -66,7 +74,7 @@ def write_text_atomic(path: str, text: str) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)

@@ -12,6 +12,7 @@ import pytest
 from qpigeon.amplitudes import FinalStateLabel, amplitude_table
 from qpigeon.boxes import same_box_diagonal
 from qpigeon.circuits import (
+    CHUNK,
     NoiseModel,
     ShotHistogram,
     grouped_expected,
@@ -296,9 +297,12 @@ def test_zero_noise_equals_no_noise():
 
 
 def test_sampling_memory_is_bounded():
-    # the working set is O(CHUNK) shots, so 20x the shots must not grow the
+    # the working set is O(CHUNK) shots, so more shots must not grow the
     # peak; a run's peak depends on how far the two threads' pieces overlap
-    # in time, so each size reads the largest peak of five runs
+    # in time, so each size reads the largest peak of five runs, and each
+    # thread draws four full pieces or more, so that both sizes see two
+    # pieces in flight (with 10**5 shots, two pieces per thread, one of them
+    # short, the small run's largest peak read 1.78 MB against 4.07 MB)
     def peak_bytes(shots):
         peaks = []
         for _ in range(5):
@@ -310,7 +314,7 @@ def test_sampling_memory_is_bounded():
                 tracemalloc.stop()
         return max(peaks)
 
-    small, large = peak_bytes(10**5), peak_bytes(2 * 10**6)
+    small, large = peak_bytes(8 * CHUNK), peak_bytes(2 * 10**6)
     assert large < 16 * 2**20
     assert abs(large - small) < 2 * 2**20
 

@@ -102,6 +102,21 @@ def test_amplitudes_csv_sweep_holds_only_its_text(capsys):
     assert peak < 5 * 2**20, peak / 2**20
 
 
+def test_amplitudes_json_sweep_is_written_as_it_is_encoded(capsys):
+    # 2,000 steps print 2.9 MiB of JSON; joined into one text before writing
+    # the peak read 26.5 MiB, written piece by piece 11.8
+    run_cli(capsys, "amplitudes", "--epsilon-t", "0:1:2", "--format", "json")
+    tracemalloc.start()
+    try:
+        code = cli.main(["amplitudes", "--epsilon-t", "0:6.2832:2000", "--format", "json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(json.loads(capsys.readouterr().out)["records"]) == 8 * 2000
+    assert peak < 14 * 2**20, peak / 2**20
+
+
 def test_simulate_pair_check(capsys):
     code, out = run_cli(capsys, "simulate", "--circuit", "pi", "--format", "csv")
     assert code == 0

@@ -9,6 +9,7 @@ with the flip probability as floats.
 import math
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qpigeon.circuits import CHUNK, NoiseModel, _draw_outcomes, _flip_limit, _guide_table, _philox, sample_shots, simulate_ideal
+from qpigeon.circuits import (CHUNK, NoiseModel, _draw_outcomes, _flip_limit, _guide_table, _philox, _piece_outcomes,
+                              sample_shots, simulate_ideal)
 from qpigeon.gates import MEASURE, Circuit, Gate, all_same_check_circuit
 
 
@@ -170,6 +172,65 @@ def test_guide_search_equals_binary_search(cdf, seed):
     assert np.array_equal(_draw_outcomes(steps, guide, raw), np.searchsorted(cdf, uniforms, side="right"))
 
 
+class Words:
+    """A stand-in for a placed Philox stream that reads on through fixed words."""
+
+    def __init__(self, raw: np.ndarray, word: int):
+        self.raw, self.word = raw, word
+
+    def random_raw(self, size: int) -> np.ndarray:
+        self.word += size
+        return self.raw[self.word - size : self.word]
+
+
+def noiseless_counts_of_words(cdf: np.ndarray, raw: np.ndarray) -> tuple[np.ndarray, set]:
+    """sample_shots' noiseless count per outcome of cdf when its outcome words are ``raw``, and whether it counted by bucket."""
+    width = max(1, (len(cdf) - 1).bit_length())
+    bucketed = set()
+
+    def piece(steps, guide, words, stepped):
+        bucketed.add(stepped is not None)
+        return _piece_outcomes(steps, guide, words, stepped)
+
+    with mock.patch("qpigeon.circuits._distribution", lambda c: (list(range(width)), np.arange(len(cdf)), np.ones(len(cdf)))), \
+            mock.patch("qpigeon.circuits._guide_table", lambda _: _guide_table(cdf)), \
+            mock.patch("qpigeon.circuits._philox", lambda seed, word: Words(raw, word)), \
+            mock.patch("qpigeon.circuits._piece_outcomes", piece):
+        hist = sample_shots(Circuit(1, width, ()), len(raw), 0)
+    counts = np.zeros(len(cdf), dtype=np.int64)
+    for key, count in hist.counts.items():
+        counts[int(key, 2)] = count
+    return counts, bucketed
+
+
+@settings(max_examples=60, deadline=None)
+@given(cdfs(), seeds)
+@example(ALL_SAME_CDF, 0)
+# steps at 1/7 and 3/7 lie inside buckets of 1/16
+@example(normalised_cdf(np.array([1.0, 2.0, 4.0])), 1)
+def test_noiseless_bucket_tally_equals_binary_search(cdf, seed):
+    steps, guide = _guide_table(cdf)
+    raw = np.concatenate([bucket_and_step_words(cdf, len(guide)), np.random.Philox(key=seed).random_raw(4096)])
+    counts, bucketed = noiseless_counts_of_words(cdf, raw)
+    uniforms = (raw >> np.uint64(11)) * 2.0**-53
+    assert np.array_equal(counts, np.bincount(np.searchsorted(cdf, uniforms, side="right"), minlength=len(cdf)))
+    assert bucketed == {True}
+
+
+@pytest.mark.parametrize("size", [CHUNK // 4, CHUNK // 4 + 1])
+def test_bucket_tally_switches_at_chunk_buckets(size):
+    # 8,192 outcomes make a guide of CHUNK buckets, 8,193 one of 2 * CHUNK:
+    # only the first is counted by bucket; both give the binary search's counts
+    cdf = normalised_cdf(np.random.default_rng(size).random(size) ** 4)
+    steps, guide = _guide_table(cdf)
+    assert np.any(guide == len(steps))
+    raw = np.concatenate([bucket_and_step_words(cdf, len(guide)), np.random.Philox(key=size).random_raw(CHUNK)])
+    counts, bucketed = noiseless_counts_of_words(cdf, raw)
+    uniforms = (raw >> np.uint64(11)) * 2.0**-53
+    assert np.array_equal(counts, np.bincount(np.searchsorted(cdf, uniforms, side="right"), minlength=len(cdf)))
+    assert bucketed == {len(guide) <= CHUNK}
+
+
 def test_every_step_of_the_all_same_circuit_lies_on_a_bucket_edge():
     # 28 of its 32 cdf entries are multiples of 1/32; the other 4 lie a few
     # ulps below one, where no uniform lies, so their steps round up onto
@@ -244,12 +305,12 @@ def test_an_error_in_any_piece_is_raised_and_leaves_no_thread(monkeypatch, faili
     seed = 5
     first_word = np.random.Philox(key=seed).random_raw(3 * CHUNK)[[0, CHUNK, 3 * CHUNK // 2][failing_piece]]
 
-    def draw(steps, guide, raw):
+    def piece(steps, guide, raw, stepped):
         if raw[0] == first_word:
             raise RuntimeError(f"piece {failing_piece}")
-        return _draw_outcomes(steps, guide, raw)
+        return _piece_outcomes(steps, guide, raw, stepped)
 
-    monkeypatch.setattr("qpigeon.circuits._draw_outcomes", draw)
+    monkeypatch.setattr("qpigeon.circuits._piece_outcomes", piece)
     before = threading.active_count()
     for noise in (None, NoiseModel(0.02)):
         with pytest.raises(RuntimeError, match=f"piece {failing_piece}"):
@@ -261,17 +322,19 @@ def test_only_runs_of_more_than_chunk_shots_start_the_helper(monkeypatch):
     # outcome words drawn per thread
     words = {}
 
-    def draw(steps, guide, raw):
+    def piece(steps, guide, raw, stepped):
         words[threading.get_ident()] = words.get(threading.get_ident(), 0) + len(raw)
-        return _draw_outcomes(steps, guide, raw)
+        return _piece_outcomes(steps, guide, raw, stepped)
 
-    monkeypatch.setattr("qpigeon.circuits._draw_outcomes", draw)
-    sample_shots(all_same_check_circuit(), CHUNK, 1, NoiseModel(0.02))
-    assert words == {threading.get_ident(): CHUNK}
-    words.clear()
-    sample_shots(all_same_check_circuit(), CHUNK + 1, 1, NoiseModel(0.02))
-    assert len(words) == 2
-    assert sorted(words.values()) == [(CHUNK + 1) // 2, (CHUNK + 2) // 2]
+    monkeypatch.setattr("qpigeon.circuits._piece_outcomes", piece)
+    for noise in (None, NoiseModel(0.02)):
+        words.clear()
+        sample_shots(all_same_check_circuit(), CHUNK, 1, noise)
+        assert words == {threading.get_ident(): CHUNK}
+        words.clear()
+        sample_shots(all_same_check_circuit(), CHUNK + 1, 1, noise)
+        assert len(words) == 2
+        assert sorted(words.values()) == [(CHUNK + 1) // 2, (CHUNK + 2) // 2]
 
 
 def test_concurrent_calls_keep_every_count():
