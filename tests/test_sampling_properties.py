@@ -203,28 +203,21 @@ def noiseless_counts_of_words(cdf: np.ndarray, raw: np.ndarray) -> tuple[np.ndar
     return counts, bucketed
 
 
+# skewed supports of 8,192 and 8,193 outcomes: guides of CHUNK and of 2 * CHUNK
+# buckets, on either side of the switch from the bucket tally to per-word draws
+SWITCH_CDFS = [normalised_cdf(np.random.default_rng(size).random(size) ** 4) for size in (CHUNK // 4, CHUNK // 4 + 1)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(cdfs(), seeds)
 @example(ALL_SAME_CDF, 0)
 # steps at 1/7 and 3/7 lie inside buckets of 1/16
 @example(normalised_cdf(np.array([1.0, 2.0, 4.0])), 1)
+@example(SWITCH_CDFS[0], 2)
+@example(SWITCH_CDFS[1], 3)
 def test_noiseless_bucket_tally_equals_binary_search(cdf, seed):
     steps, guide = _guide_table(cdf)
     raw = np.concatenate([bucket_and_step_words(cdf, len(guide)), np.random.Philox(key=seed).random_raw(4096)])
-    counts, bucketed = noiseless_counts_of_words(cdf, raw)
-    uniforms = (raw >> np.uint64(11)) * 2.0**-53
-    assert np.array_equal(counts, np.bincount(np.searchsorted(cdf, uniforms, side="right"), minlength=len(cdf)))
-    assert bucketed == {True}
-
-
-@pytest.mark.parametrize("size", [CHUNK // 4, CHUNK // 4 + 1])
-def test_bucket_tally_switches_at_chunk_buckets(size):
-    # 8,192 outcomes make a guide of CHUNK buckets, 8,193 one of 2 * CHUNK:
-    # only the first is counted by bucket; both give the binary search's counts
-    cdf = normalised_cdf(np.random.default_rng(size).random(size) ** 4)
-    steps, guide = _guide_table(cdf)
-    assert np.any(guide == len(steps))
-    raw = np.concatenate([bucket_and_step_words(cdf, len(guide)), np.random.Philox(key=size).random_raw(CHUNK)])
     counts, bucketed = noiseless_counts_of_words(cdf, raw)
     uniforms = (raw >> np.uint64(11)) * 2.0**-53
     assert np.array_equal(counts, np.bincount(np.searchsorted(cdf, uniforms, side="right"), minlength=len(cdf)))
