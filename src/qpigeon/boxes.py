@@ -111,7 +111,7 @@ def verify_identities(tolerance: float = 1e-12) -> IdentityReport:
     checks = {name: float(dev) for name, dev in worst.items()}
     spectrum = sorted(sum(row[:_ALL_SAME]) for row in BOX_VALUES)
     expected = [1] * 6 + [3] * 2
-    checks["pair_count_spectrum"] = float(max(abs(s - e) for s, e in zip(spectrum, expected)))
+    checks["pair_count_spectrum"] = float(max(abs(s - e) for s, e in zip(spectrum, expected, strict=True)))
 
     passed = all(dev <= tolerance for dev in checks.values())
     return IdentityReport(

@@ -2,8 +2,9 @@
 
 simulate_ideal gives a circuit's exact outcome distribution and sample_shots
 a seeded shot histogram, with an optional readout-noise model; the rest
-groups outcomes by pigeon and ancilla bits.  The command line renders its
-own documents; only histogram_json, which perfbench/ reads, renders here.
+groups outcomes by pigeon and ancilla bits.  The command line's documents
+are rendered by qpigeon.output; histogram_json, which perfbench/ reads, is
+one call into it.
 The Circuit type, the two experiment circuits and the QASM text live in
 gates, which needs no numpy; Circuit, all_same_check_circuit and its cbit
 tuples are re-exported here, where perfbench/ reads them.

@@ -3,10 +3,12 @@
 Subcommands: identities, amplitudes, simulate, sample, qasm, hiddenvars.
 Exit code 0 on success, 1 when a verification fails (for example an operator
 identity exceeding its tolerance), 2 on usage errors and on I/O errors, which
-print a one-line ``error:`` message.  Each subcommand hands its CSV header and
-rows and its JSON payload to ``qpigeon/output.py``, which rounds every float
-to 12 significant digits and makes ``--output`` write through a temporary
-file and an atomic rename, so readers never see a partial file.
+print a one-line ``error:`` message.  Each subcommand writes nothing: it
+returns a CSV header, rows (qasm: its text), and functions giving the JSON
+payload and the exit status, read after the write.  ``main`` writes the one
+document through ``qpigeon/output.py``, which rounds every float to 12
+significant digits and makes ``--output`` write through a temporary file and
+an atomic rename, so readers never see a partial file.
 The default sampling seed comes from the QPIGEON_SEED environment variable
 when set, else 0.  Only simulate and sample load numpy (through circuits).
 """
@@ -22,7 +24,7 @@ from . import boxes, gates, output
 from . import hiddenvars as hv_mod
 
 SEED_ENV_VAR = "QPIGEON_SEED"
-# every row of a sweep is built before the first is printed, so a larger sweep is refused, not built
+# CSV rows are written as they are made, but JSON builds every record first, so a larger sweep is refused
 MAX_SWEEP_STEPS = 100_000
 
 _CIRCUITS = {
@@ -63,36 +65,34 @@ def _parse_sweep(text: str) -> list[float]:
     raise argparse.ArgumentTypeError(f"expected VALUE or START:STOP:STEPS, got {text!r}")
 
 
-def _cmd_identities(args) -> int:
+def _cmd_identities(args) -> tuple:
     report = boxes.verify_identities(tolerance=args.tolerance)
     rows = [(name, dev, dev <= report.tolerance) for name, dev in report.checks.items()]
-    output.render(args.format, ("check", "max_deviation", "passed"), rows, report.to_dict(), args.output)
-    return 0 if report.passed else 1
+    return ("check", "max_deviation", "passed"), rows, report.to_dict, lambda: 0 if report.passed else 1
 
 
-def _cmd_amplitudes(args) -> int:
-    failed = False
+def _cmd_amplitudes(args) -> tuple:
+    # a refused coupling exits 2 before the first row is written, not halfway through the document
+    for et in args.epsilon_t:
+        boxes.evolution_diagonal(et)
+    header = ("epsilon_t", "label", "outcome_class", "prob_closed", "prob_numeric")
+    failures = []  # one entry per failed check, known once the rows are made
 
     def rows():
         # made as the chosen format reads them: a sweep holds only its output
-        nonlocal failed
         for et in args.epsilon_t:
             table = amp_mod.amplitude_table(et)
             if abs(sum(rec.prob_numeric for rec in table) - 1.0) > 1e-12:
-                failed = True
+                failures.append(et)
             for rec in table:
                 if abs(rec.prob_closed - rec.prob_numeric) > 1e-10:
-                    failed = True
+                    failures.append(rec)
                 yield rec.epsilon_t, str(rec.label), rec.outcome_class, rec.prob_closed, rec.prob_numeric
 
-    header = ("epsilon_t", "label", "outcome_class", "prob_closed", "prob_numeric")
-    if args.format == "csv":
-        text = output.csv_text(header, rows())
-    else:
-        records = [dict(zip(header, row)) for row in rows()]
-        text = output.json_chunks({"phase_convention": amp_mod.PHASE_CONVENTION, "records": records})
-    output.emit(text, args.output)
-    return 1 if failed else 0
+    def payload():
+        return {"phase_convention": amp_mod.PHASE_CONVENTION, "records": [dict(zip(header, row)) for row in rows()]}
+
+    return header, rows(), payload, lambda: 1 if failures else 0
 
 
 def _build_circuit(name: str):
@@ -100,7 +100,7 @@ def _build_circuit(name: str):
     return builder(), ancilla_cbits
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> tuple:
     from . import circuits as circ_mod
 
     circuit, ancilla_cbits = _build_circuit(args.circuit)
@@ -113,11 +113,10 @@ def _cmd_simulate(args) -> int:
     else:
         header, rows = ("bitstring", "probability"), probs.items()
         payload = {"circuit": args.circuit, "probabilities": probs}
-    output.render(args.format, header, rows, payload, args.output)
-    return 1 if abs(sum(probs.values()) - 1.0) > 1e-12 else 0
+    return header, rows, lambda: payload, lambda: 1 if abs(sum(probs.values()) - 1.0) > 1e-12 else 0
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args) -> tuple:
     from . import circuits as circ_mod
 
     seed = _default_seed() if args.seed is None else args.seed
@@ -139,17 +138,15 @@ def _cmd_sample(args) -> int:
             {"pigeon_state": g.pigeon_pattern, "ancilla_counts": g.ancilla_counts, "total": g.total}
             for g in groups
         ]
-    output.render(args.format, header, rows, payload, args.output)
-    return 0
+    return header, rows, lambda: payload, lambda: 0
 
 
-def _cmd_qasm(args) -> int:
+def _cmd_qasm(args) -> tuple:
     circuit, _ = _build_circuit(args.circuit)
-    output.emit(gates.export_qasm(circuit), args.output)
-    return 0
+    return None, [gates.export_qasm(circuit)], None, lambda: 0
 
 
-def _cmd_hiddenvars(args) -> int:
+def _cmd_hiddenvars(args) -> tuple:
     report = hv_mod.enumeration_report()
     header = ("v01", "v12", "v02", "v_all", *hv_mod.CONSTRAINT_NAMES, "valid")
     rows = [
@@ -157,9 +154,8 @@ def _cmd_hiddenvars(args) -> int:
          *(cand["constraints"][name] for name in hv_mod.CONSTRAINT_NAMES), cand["valid"])
         for cand in report["candidates"]
     ]
-    output.render(args.format, header, rows, report, args.output)
     failed = report["violation_exists"] or not report["classical_placements_match_valid_set"]
-    return 1 if failed else 0
+    return header, rows, lambda: report, lambda: 1 if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -208,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("qasm", help="OpenQASM 2.0 text of a built-in circuit")
     p.add_argument("--circuit", choices=sorted(_CIRCUITS), required=True)
     p.add_argument("--output", default=None, help="write here atomically instead of stdout")
-    p.set_defaults(func=_cmd_qasm)
+    p.set_defaults(func=_cmd_qasm, format="text")
 
     p = sub.add_parser("hiddenvars", help="enumerate classical value assignments")
     add_common(p)
@@ -225,7 +221,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        header, rows, payload, status = args.func(args)
+        output.emit(args.format, header, rows, payload, args.output)
+        return status()
     except (ValueError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,15 +1,19 @@
-"""Text output: CSV and JSON rendering and the atomic file write.
+"""Text output: a command's one document, rendered as it is written, and the atomic file write.
 
-Every float is printed with 12 significant digits, in CSV cells and in
-JSON documents alike; CSV booleans read ``true``/``false`` as in JSON.
-This module needs only the standard library.
+Every float is printed with 12 significant digits, in CSV cells and in JSON
+documents alike, rounded as it is encoded; CSV booleans read ``true``/``false``
+as in JSON.  This module needs only the standard library.
 """
 
 import itertools
 import json
 import os
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
+
+# the texts json writes for the floats that have no number form
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_DEFAULT = json.JSONEncoder().default
 
 
 def _cell(value) -> str:
@@ -20,28 +24,24 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _round12(obj):
-    """Floats rounded to 12 significant digits, through dicts, lists and tuples."""
-    if isinstance(obj, float):
-        return float(_cell(obj))
-    if isinstance(obj, dict):
-        return {key: _round12(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round12(value) for value in obj]
-    return obj
+def _json_float(value: float) -> str:
+    """The JSON text of ``value`` rounded to 12 significant digits."""
+    text = format(value, ".12g")
+    return _NON_FINITE.get(text) or repr(float(text))
 
 
-def csv_text(header, rows) -> str:
-    """CSV with the given column names, then one line per row; no quoting."""
-    lines = [",".join(header)]
-    lines += [",".join(_cell(value) for value in row) for row in rows]
-    lines.append("")  # the final newline, without a second copy of the text
-    return "\n".join(lines)
+def csv_lines(header, rows) -> Iterator[str]:
+    """CSV with the given column names, then one line per row as it is made; no quoting."""
+    yield ",".join(header) + "\n"
+    for row in rows:
+        yield ",".join(_cell(value) for value in row) + "\n"
 
 
 def json_chunks(payload) -> Iterator[str]:
-    """The payload as indented JSON with its floats rounded, ending in a newline, in the encoder's pieces."""
-    return itertools.chain(json.JSONEncoder(indent=2).iterencode(_round12(payload)), "\n")
+    """``json.dumps(payload, indent=2)`` with each float rounded, float keys too, in pieces, then a newline."""
+    encode = json.encoder._make_iterencode(
+        {}, _DEFAULT, json.encoder.encode_basestring_ascii, "  ", _json_float, ": ", ",", False, False, False)
+    return itertools.chain(encode(payload, 0), "\n")
 
 
 def json_text(payload) -> str:
@@ -49,18 +49,18 @@ def json_text(payload) -> str:
     return "".join(json_chunks(payload))
 
 
-def emit(text: str | Iterable[str], path: str | None) -> None:
-    """Write text, or its pieces as they come, to stdout, or atomically to ``path`` when one is given."""
-    chunks = [text] if isinstance(text, str) else text
+def emit(text_format: str, header, rows: Iterable, payload: Callable[[], object], path: str | None) -> None:
+    """Write the rows as CSV, ``payload()`` as JSON or the rows as text, to stdout or atomically to ``path``."""
+    if text_format == "csv":
+        chunks = csv_lines(header, rows)
+    elif text_format == "json":
+        chunks = json_chunks(payload())
+    else:
+        chunks = rows
     if path is None:
         sys.stdout.writelines(chunks)
     else:
         write_text_atomic(path, chunks)
-
-
-def render(text_format: str, header, rows, payload, path: str | None) -> None:
-    """Emit the rows as CSV when ``text_format`` is "csv", else the payload as JSON, piece by piece."""
-    emit(csv_text(header, rows) if text_format == "csv" else json_chunks(payload), path)
 
 
 def write_text_atomic(path: str, chunks: Iterable[str]) -> None:
