@@ -5,9 +5,10 @@ projectors and the all-same projector commute and are diagonal in this
 basis, so BOX_VALUES[z] = (same01, same12, same02, all_same) holds all four
 operators as their joint eigenvalues on |z>.  Read as value assignments, the
 rows are the eight classical placements: the joint spectrum of the commuting
-projectors is the valid set that hiddenvars enumerates.  The diagonals, the
-evolution's diagonal and verify_identities (exact integer arithmetic, row by
-row) all derive from the table, and each row from where the pigeons sit.
+projectors is the valid set that hiddenvars enumerates.  The diagonals derive
+from the table, and each row from where the pigeons sit.  relation_residuals
+writes every operator relation once: verify_identities reads them on the rows,
+hiddenvars on candidate values.
 This module needs only the standard library.
 """
 
@@ -51,6 +52,32 @@ def same_box_diagonal(a: int, b: int) -> tuple[complex, ...]:
     return _SAME_BOX[_check_pair(a, b)]
 
 
+def relation_residuals(row: tuple[int, int, int, int]) -> dict[str, int]:
+    """Each operator relation's integer residual on a row (same01, same12, same02, all_same), 0 where it holds.
+
+    The one place the relations are written: on the rows of BOX_VALUES they are the operator identities, on a
+    candidate's values the constraints of hiddenvars.
+    """
+    same = {pair: row[col] for pair, col in _COLUMN.items()}
+    big_p = row[_ALL_SAME]
+    count = sum(same.values())
+    small_p = count - 3 * big_p
+    residuals = {
+        "one_pair_plus_all_same_is_identity": 1 - (small_p + big_p),
+        "pair_count_minus_two_all_same_is_identity": 1 - (count - 2 * big_p),
+    }
+    for pa, pb in itertools.combinations(PAIRS, 2):
+        residuals[f"product_same{pa[0]}{pa[1]}_same{pb[0]}{pb[1]}_is_all_same"] = same[pa] * same[pb] - big_p
+        residuals[f"commutator_same{pa[0]}{pa[1]}_same{pb[0]}{pb[1]}"] = same[pa] * same[pb] - same[pb] * same[pa]
+    for pair in PAIRS:
+        pair_only = same[pair] - big_p
+        residuals[f"idempotent_same{pair[0]}{pair[1]}"] = same[pair] * same[pair] - same[pair]
+        residuals[f"idempotent_pair_only{pair[0]}{pair[1]}"] = pair_only * pair_only - pair_only
+    residuals["idempotent_all_same"] = big_p * big_p - big_p
+    residuals["idempotent_one_pair"] = small_p * small_p - small_p
+    return residuals
+
+
 @dataclass(frozen=True)
 class IdentityReport:
     """Max elementwise deviation for every algebraic relation among the projectors.
@@ -76,36 +103,11 @@ class IdentityReport:
 
 
 def verify_identities(tolerance: float = 1e-12) -> IdentityReport:
-    """Check every operator relation the construction relies on.
-
-    Covered: the two resolutions of the identity (one-pair + all-same, and
-    pair-count minus twice all-same), the product of any two distinct
-    same-box projectors collapsing to all-same, idempotency of every
-    projector, mutual commutators, and the {1 x 6, 3 x 2} spectrum of
-    the pair count.  Each relation is evaluated on every row of
-    BOX_VALUES in integers, so a deviation is exact.
-    """
+    """Check relation_residuals on every row of BOX_VALUES, exactly in integers, and the {1 x 6, 3 x 2} spectrum."""
     tolerance = _check_real(tolerance, "tolerance", math.nextafter(0.0, 1.0))
     worst: dict[str, int] = {}
     for row in BOX_VALUES:
-        same = {pair: row[col] for pair, col in _COLUMN.items()}
-        big_p = row[_ALL_SAME]
-        count = sum(same.values())
-        small_p = count - 3 * big_p
-        residuals = {
-            "one_pair_plus_all_same_is_identity": 1 - (small_p + big_p),
-            "pair_count_minus_two_all_same_is_identity": 1 - (count - 2 * big_p),
-        }
-        for pa, pb in itertools.combinations(PAIRS, 2):
-            residuals[f"product_same{pa[0]}{pa[1]}_same{pb[0]}{pb[1]}_is_all_same"] = same[pa] * same[pb] - big_p
-            residuals[f"commutator_same{pa[0]}{pa[1]}_same{pb[0]}{pb[1]}"] = same[pa] * same[pb] - same[pb] * same[pa]
-        for pair in PAIRS:
-            pair_only = same[pair] - big_p
-            residuals[f"idempotent_same{pair[0]}{pair[1]}"] = same[pair] * same[pair] - same[pair]
-            residuals[f"idempotent_pair_only{pair[0]}{pair[1]}"] = pair_only * pair_only - pair_only
-        residuals["idempotent_all_same"] = big_p * big_p - big_p
-        residuals["idempotent_one_pair"] = small_p * small_p - small_p
-        for name, residual in residuals.items():
+        for name, residual in relation_residuals(row).items():
             worst[name] = max(worst.get(name, 0), abs(residual))
 
     checks = {name: float(dev) for name, dev in worst.items()}

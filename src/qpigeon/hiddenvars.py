@@ -3,7 +3,7 @@
 A noncontextual hidden-variable model must hand every same-box projector a
 definite value from its spectrum {0, 1}, and the all-same projector too.
 Because all four operators commute, the assigned values have to satisfy the
-same algebra the operators do:
+same algebra, whose relations boxes.relation_residuals alone writes down:
 
 * counting: v01 + v12 + v02 - 2 * v_all = 1 (the operator identity
   "pair count minus twice all-same equals the identity", evaluated).
@@ -20,15 +20,18 @@ principle.
 from dataclasses import dataclass
 from itertools import product
 
-from .boxes import BOX_VALUES
+from . import boxes
 from .gates import _check_index
 
 COUNTING = "counting"
-PRODUCT_01_12 = "product_01_12"
-PRODUCT_01_02 = "product_01_02"
-PRODUCT_12_02 = "product_12_02"
-
-CONSTRAINT_NAMES = (COUNTING, PRODUCT_01_12, PRODUCT_01_02, PRODUCT_12_02)
+# each displayed constraint's relation in boxes.relation_residuals
+_RELATIONS = {
+    COUNTING: "pair_count_minus_two_all_same_is_identity",
+    "product_01_12": "product_same01_same12_is_all_same",
+    "product_01_02": "product_same01_same02_is_all_same",
+    "product_12_02": "product_same02_same12_is_all_same",
+}
+CONSTRAINT_NAMES = tuple(_RELATIONS)
 
 
 @dataclass(frozen=True)
@@ -50,12 +53,8 @@ class ValueAssignment:
         return self.v01 + self.v12 + self.v02
 
     def constraint_results(self) -> dict[str, bool]:
-        return {
-            COUNTING: self.pair_count_value - 2 * self.v_all == 1,
-            PRODUCT_01_12: self.v01 * self.v12 == self.v_all,
-            PRODUCT_01_02: self.v01 * self.v02 == self.v_all,
-            PRODUCT_12_02: self.v12 * self.v02 == self.v_all,
-        }
+        residuals = boxes.relation_residuals((self.v01, self.v12, self.v02, self.v_all))
+        return {name: residuals[relation] == 0 for name, relation in _RELATIONS.items()}
 
     @property
     def valid(self) -> bool:
@@ -82,14 +81,12 @@ def valid_assignments(require_counting: bool = True) -> list[ValueAssignment]:
     the product constraints filter; the all-zero assignment then slips
     through, which is exactly the loophole the counting identity closes.
     """
-    keep = []
-    for cand in enumerate_assignments():
-        results = cand.constraint_results()
-        if not require_counting:
-            results = {k: v for k, v in results.items() if k != COUNTING}
-        if all(results.values()):
-            keep.append(cand)
-    return keep
+    dropped = () if require_counting else (COUNTING,)
+    return [
+        cand
+        for cand in enumerate_assignments()
+        if all(ok for name, ok in cand.constraint_results().items() if name not in dropped)
+    ]
 
 
 def box_placement_values() -> dict[tuple[int, int, int], ValueAssignment]:
@@ -98,7 +95,7 @@ def box_placement_values() -> dict[tuple[int, int, int], ValueAssignment]:
     These are the rows of boxes.BOX_VALUES, the joint eigenvalues of the
     commuting projectors: basis state |z> puts pigeon k in box bit k of z.
     """
-    return {(z & 1, z >> 1 & 1, z >> 2): ValueAssignment(*row) for z, row in enumerate(BOX_VALUES)}
+    return {(z & 1, z >> 1 & 1, z >> 2): ValueAssignment(*row) for z, row in enumerate(boxes.BOX_VALUES)}
 
 
 def pigeonhole_violation_exists(require_counting: bool = True) -> bool:

@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from qpigeon.amplitudes import (
     pair_matrix_element,
     pair_matrix_element_closed,
 )
+from qpigeon.boxes import BOX_VALUES
 
 PAIRS = ((0, 1), (0, 2), (1, 2))
 INV_SQRT8 = 1.0 / math.sqrt(8.0)
@@ -168,6 +170,43 @@ def test_closed_and_numeric_agree_on_grid():
     for et in np.linspace(0.0, 2.0 * math.pi, 65):
         for rec in amplitude_table(float(et)):
             assert abs(rec.prob_closed - rec.prob_numeric) <= 1e-10
+
+
+def _mul(x, y):
+    """Product of two complex numbers held as (real, imaginary) Fraction pairs."""
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _overlap(label, diagonal):
+    """<label| D |uniform> = (1/8) sum_z d_z prod_{k: z_k = 1} (-i * s_k), exactly."""
+    total = (Fraction(0), Fraction(0))
+    for z, d in enumerate(diagonal):
+        term = (Fraction(d, 8), Fraction(0))
+        for k, s in enumerate(label.signs):
+            if z >> k & 1:
+                term = _mul(term, (Fraction(0), Fraction(-s)))
+        total = (total[0] + term[0], total[1] + term[1])
+    return total
+
+
+def test_class_formulas_follow_from_the_table_exactly():
+    # U = exp(-i*et) * (1 + (w - 1) * P_all) with w = exp(-2i*et), so the
+    # probability |x + w*b|^2, x = <l|u> - b and b = <l|P_all|u>, is
+    # c0 + c1*cos(2*et) + c2*sin(2*et) with c0 = |x|^2 + |b|^2 and c1 + i*c2 = 2*conj(x)*b
+    for label in all_labels():
+        u = _overlap(label, [1] * 8)
+        b = _overlap(label, [row[3] for row in BOX_VALUES])
+        x = (u[0] - b[0], u[1] - b[1])
+        c0 = x[0] ** 2 + x[1] ** 2 + b[0] ** 2 + b[1] ** 2
+        cross = _mul((x[0], -x[1]), b)
+        coefficients = (c0, 2 * cross[0], 2 * cross[1])
+        if label.outcome_class == ALL_SAME_SIGN:
+            assert coefficients == (Fraction(5, 16), Fraction(-3, 16), 0)
+        else:
+            assert coefficients == (Fraction(1, 16), Fraction(1, 16), 0)
+        for et in (-2.5, 0.0, 0.3, 1.0, math.pi / 3.0, 7.0):
+            expected = float(c0) + float(coefficients[1]) * math.cos(2.0 * et)
+            assert abs(closed_form_probability(label, et) - expected) <= 1e-15
 
 
 def test_class_counts_in_table():

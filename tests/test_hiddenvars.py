@@ -1,5 +1,6 @@
-from itertools import permutations
+from itertools import permutations, product
 
+from qpigeon.boxes import BOX_VALUES, relation_residuals
 from qpigeon.hiddenvars import (
     CONSTRAINT_NAMES,
     COUNTING,
@@ -64,6 +65,31 @@ def test_dropping_the_counting_identity_opens_the_loophole():
     assert pigeonhole_violation_exists(require_counting=False) is True
     survivors = valid_assignments(require_counting=False)
     assert ValueAssignment(0, 0, 0, 0) in survivors
+
+
+def test_the_relations_alone_select_the_placements():
+    # the paper's point on the table: the operator relations, read on values,
+    # leave exactly the classical placements; the counting form closes the loophole
+    rows = list(product((0, 1), repeat=4))
+    residuals = {row: relation_residuals(row) for row in rows}
+    trivial = {name for name in residuals[rows[0]] if all(res[name] == 0 for res in residuals.values())}
+    assert trivial == {
+        "commutator_same01_same02",
+        "commutator_same01_same12",
+        "commutator_same02_same12",
+        "idempotent_same01",
+        "idempotent_same02",
+        "idempotent_same12",
+        "idempotent_all_same",
+    }
+    assert len(residuals[rows[0]]) - len(trivial) == 9
+    assert {row for row, res in residuals.items() if not any(res.values())} == set(BOX_VALUES)
+    assert len(set(BOX_VALUES)) == 4
+    counting = {"one_pair_plus_all_same_is_identity", "pair_count_minus_two_all_same_is_identity"}
+    without_counting = {
+        row for row, res in residuals.items() if not any(value for name, value in res.items() if name not in counting)
+    }
+    assert without_counting == set(BOX_VALUES) | {(0, 0, 0, 0)}
 
 
 def test_box_placement_examples():
