@@ -17,7 +17,6 @@ The closed forms are reported beside the numeric values; the caller decides
 whether the two agree.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -36,8 +35,6 @@ PHASE_CONVENTION = (
 )
 
 _SQRT_HALF = math.sqrt(0.5)
-_SQRT8 = math.sqrt(8.0)
-_SQRT32 = math.sqrt(32.0)
 
 
 @dataclass(frozen=True)
@@ -133,13 +130,14 @@ def pair_matrix_element_closed(label: FinalStateLabel, a: int, b: int) -> comple
     Zero when the signs at a and b agree.  Otherwise the magnitude is
     1/sqrt(8) and the phase is exp(-i * s_c * pi/4), carried entirely by the
     spectator qubit c's sign; this convention matches the numeric route
-    under the qubit-k-at-bit-k ordering used throughout.
+    under the qubit-k-at-bit-k ordering used throughout.  The value is
+    returned exactly, as (1 - i*s_c)/4.
     """
     a, b = _check_pair(a, b)
     if label.signs[a] == label.signs[b]:
         return 0j
     (c,) = set(range(N_PIGEONS)) - {a, b}
-    return cmath.exp(-1j * label.signs[c] * math.pi / 4.0) / _SQRT8
+    return complex(1, -label.signs[c]) / 4
 
 
 def all_same_matrix_element(label: FinalStateLabel) -> complex:
@@ -151,10 +149,10 @@ def all_same_matrix_element_closed(label: FinalStateLabel) -> complex:
     """Closed form of all_same_matrix_element: magnitude 1/sqrt(32) always.
 
     The phase is exp(+i*pi/4) for an even number of minus signs and
-    exp(-i*pi/4) for an odd number.
+    exp(-i*pi/4) for an odd number, so the value is exactly (1 +- i)/8.
     """
-    parity = 1.0 if sum(1 for s in label.signs if s == -1) % 2 == 0 else -1.0
-    return cmath.exp(1j * parity * math.pi / 4.0) / _SQRT32
+    parity = 1 if label.signs.count(-1) % 2 == 0 else -1
+    return complex(1, parity) / 8
 
 
 def pair_count_matrix_element(label: FinalStateLabel) -> complex:

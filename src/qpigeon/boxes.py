@@ -83,9 +83,9 @@ class IdentityReport:
     """Max elementwise deviation for every algebraic relation among the projectors.
 
     ``checks`` maps a relation name to its deviation; ``spectrum`` holds the
-    sorted eigenvalues of the pair count.  ``passed`` is True when every
-    deviation (including the spectrum's distance from six 1s and two 3s) is
-    within ``tolerance``.
+    sorted eigenvalues of the pair count.  Every deviation (including the
+    spectrum's distance from six 1s and two 3s) is an integer, so one within
+    ``tolerance``, always 1e-12, is 0; ``passed`` is True when every one is.
     """
 
     tolerance: float
@@ -102,9 +102,8 @@ class IdentityReport:
         }
 
 
-def verify_identities(tolerance: float = 1e-12) -> IdentityReport:
-    """Check relation_residuals on every row of BOX_VALUES, exactly in integers, and the {1 x 6, 3 x 2} spectrum."""
-    tolerance = _check_real(tolerance, "tolerance", math.nextafter(0.0, 1.0))
+def verify_identities() -> IdentityReport:
+    """Check relation_residuals on every row of BOX_VALUES and the {1 x 6, 3 x 2} spectrum, exactly in integers."""
     worst: dict[str, int] = {}
     for row in BOX_VALUES:
         for name, residual in relation_residuals(row).items():
@@ -115,12 +114,11 @@ def verify_identities(tolerance: float = 1e-12) -> IdentityReport:
     expected = [1] * 6 + [3] * 2
     checks["pair_count_spectrum"] = float(max(abs(s - e) for s, e in zip(spectrum, expected, strict=True)))
 
-    passed = all(dev <= tolerance for dev in checks.values())
     return IdentityReport(
-        tolerance=tolerance,
+        tolerance=1e-12,
         checks=checks,
         spectrum=tuple(float(x) for x in spectrum),
-        passed=passed,
+        passed=all(dev == 0 for dev in checks.values()),
     )
 
 

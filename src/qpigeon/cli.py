@@ -2,20 +2,19 @@
 
 Subcommands: identities, amplitudes, simulate, sample, qasm, hiddenvars.
 Exit code 0 on success, 1 when a verification fails (for example an operator
-identity exceeding its tolerance), 2 on usage errors and on I/O errors, which
+identity with a nonzero deviation), 2 on usage errors and on I/O errors, which
 print a one-line ``error:`` message.  Each subcommand writes nothing: it
 returns a CSV header, rows (qasm: its text), and functions giving the JSON
 payload and the exit status, read after the write.  ``main`` writes the one
 document through ``qpigeon/output.py``, which rounds every float to 12
 significant digits and makes ``--output`` write through a temporary file and
 an atomic rename, so readers never see a partial file.
-The default sampling seed comes from the QPIGEON_SEED environment variable
-when set, else 0.  Only simulate and sample load numpy (through circuits).
+The sampling seed is ``--seed``, 0 when omitted; nothing is read from the
+environment.  Only simulate and sample load numpy (through circuits).
 """
 
 import argparse
 import math
-import os
 import re
 import sys
 
@@ -23,7 +22,6 @@ from . import amplitudes as amp_mod
 from . import boxes, gates, output
 from . import hiddenvars as hv_mod
 
-SEED_ENV_VAR = "QPIGEON_SEED"
 # CSV rows are written as they are made, but JSON builds every record first, so a larger sweep is refused
 MAX_SWEEP_STEPS = 100_000
 
@@ -31,16 +29,6 @@ _CIRCUITS = {
     "pi": (gates.pair_check_circuit, gates.PAIR_CHECK_ANCILLA_CBITS),
     "p": (gates.all_same_check_circuit, gates.ALL_SAME_ANCILLA_CBITS),
 }
-
-
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
 def _parse_sweep(text: str) -> list[float]:
@@ -66,8 +54,8 @@ def _parse_sweep(text: str) -> list[float]:
 
 
 def _cmd_identities(args) -> tuple:
-    report = boxes.verify_identities(tolerance=args.tolerance)
-    rows = [(name, dev, dev <= report.tolerance) for name, dev in report.checks.items()]
+    report = boxes.verify_identities()
+    rows = [(name, dev, dev == 0) for name, dev in report.checks.items()]
     return ("check", "max_deviation", "passed"), rows, report.to_dict, lambda: 0 if report.passed else 1
 
 
@@ -119,10 +107,9 @@ def _cmd_simulate(args) -> tuple:
 def _cmd_sample(args) -> tuple:
     from . import circuits as circ_mod
 
-    seed = _default_seed() if args.seed is None else args.seed
     circuit, ancilla_cbits = _build_circuit(args.circuit)
     noise = None if args.noise_readout is None else circ_mod.NoiseModel(args.noise_readout)
-    hist = circ_mod.sample_shots(circuit, shots=args.shots, seed=seed, noise=noise)
+    hist = circ_mod.sample_shots(circuit, shots=args.shots, seed=args.seed, noise=noise)
     payload = hist.to_dict()
     header, rows = ("bitstring", "count"), payload["counts"].items()
     if args.group:
@@ -170,7 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None, help="write here atomically instead of stdout")
 
     p = sub.add_parser("identities", help="verify the projector algebra and report deviations")
-    p.add_argument("--tolerance", type=float, default=1e-12)
     add_common(p)
     p.set_defaults(func=_cmd_identities)
 
@@ -194,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="reproducible shot histogram of a built-in circuit")
     p.add_argument("--circuit", choices=sorted(_CIRCUITS), required=True)
     p.add_argument("--shots", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None, help=f"default from {SEED_ENV_VAR}, else 0")
+    p.add_argument("--seed", type=int, default=0, help="default 0")
     p.add_argument("--noise-readout", type=float, default=None, metavar="PROB",
                    help="flip each measured bit with this probability")
     p.add_argument("--group", action="store_true", help="group by pigeon bits and ancilla pattern")

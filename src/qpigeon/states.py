@@ -28,7 +28,6 @@ materialised, and the work buffer is a run's only state-sized allocation.
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -67,11 +66,11 @@ class StateVector:
     and frozen read-only.  States built by this module's gate runs take
     ownership of their work buffer instead of copying it, with the same
     checks.  ``norm_sq``, the sum of |amps|^2, is computed at construction
-    by the pass that checks the amplitudes finite.  A state built from given
-    amplitudes keeps their norm, which need not be 1; nothing here
-    renormalises implicitly.  Two states are equal, and hash alike, when
-    their qubit counts and amplitude bytes are equal, so 0.0 and -0.0
-    amplitudes differ.
+    by the pass that checks the amplitudes finite, and is ``math.inf`` when
+    that sum overflows.  A state built from given amplitudes keeps their
+    norm, which need not be 1; nothing here renormalises implicitly.  Two
+    states are equal, and hash alike, when their qubit counts and amplitude
+    bytes are equal, so 0.0 and -0.0 amplitudes differ.
     """
 
     n_qubits: int
@@ -97,12 +96,14 @@ class StateVector:
             raise ValueError(f"expected {2**self.n_qubits} amplitudes, got shape {amps.shape}")
         # a nan or infinite entry makes the sum of squares nan or inf; only
         # then do max and min, which carry any nan and reach any infinity,
-        # tell a bad entry from finite entries whose squares overflow
+        # tell a bad entry from finite entries whose squares overflow, which
+        # some BLAS kernels sum to nan (a part -1e200 beside a part 1e200)
         norm_sq = float(np.vdot(amps, amps).real)
         if not math.isfinite(norm_sq):
             flat = amps.view(np.float64)
             if not (np.isfinite(flat.max()) and np.isfinite(flat.min())):
                 raise ValueError("amplitudes must be finite")
+            norm_sq = math.inf
         object.__setattr__(self, "norm_sq", norm_sq)
         amps.flags.writeable = False
 
@@ -113,11 +114,6 @@ class StateVector:
 
     def __hash__(self):
         return hash((self.n_qubits, self.amps.tobytes()))
-
-    @cached_property
-    def norm_sq(self) -> float:
-        """Sum of |amps|^2, as ``np.vdot(amps, amps).real``."""
-        return float(np.vdot(self.amps, self.amps).real)
 
 
 def basis_state(n_qubits: int, index: int) -> StateVector:

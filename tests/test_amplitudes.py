@@ -77,7 +77,8 @@ def test_pair_element_phase_set_by_spectator_sign():
             spectator = 3 - a - b
             expected = cmath.exp(-1j * label.signs[spectator] * math.pi / 4.0) * INV_SQRT8
             assert abs(pair_matrix_element(label, a, b) - expected) <= 1e-12
-            assert abs(pair_matrix_element_closed(label, a, b) - expected) <= 1e-15
+            # exp(-i*s*pi/4)/sqrt(8) is exactly (1 - i*s)/4, and the closed form returns it exactly
+            assert pair_matrix_element_closed(label, a, b) == complex(0.25, -0.25 * label.signs[spectator])
 
 
 def test_pair_element_specific_value():
@@ -106,6 +107,9 @@ def test_all_same_element_values():
         numeric = all_same_matrix_element(label)
         assert abs(abs(numeric) - INV_SQRT32) <= 1e-12
         assert abs(numeric - all_same_matrix_element_closed(label)) <= 1e-12
+        # exp(+-i*pi/4)/sqrt(32) is exactly (1 +- i)/8: + for an even number of minus signs
+        parity = (-1) ** label.signs.count(-1)
+        assert all_same_matrix_element_closed(label) == complex(0.125, 0.125 * parity)
 
 
 def test_pair_count_element_is_sum_of_pair_elements():

@@ -2,12 +2,14 @@
 
 The golden comparisons of ``tests/test_golden_cli.py`` and
 ``tests/test_golden_sampling.py``, the sampler's exact flip test and
-one-shot oracle in ``tests/test_sampling_properties.py``, and the state
+one-shot oracle in ``tests/test_sampling_properties.py``, the state
 core's bit-identity tests in ``tests/test_state_properties.py``, whose
-kernel mixes array-by-array and scalar-by-array complex products, run
-again in a child process with every dispatched SIMD feature this CPU has
-disabled (``NPY_DISABLE_CPU_FEATURES``) and OpenBLAS pinned to its Prescott
-kernels (``OPENBLAS_CORETYPE``), so the published bytes do not depend on
+kernel mixes array-by-array and scalar-by-array complex products, and the
+overflowing-norm test of ``tests/test_states.py``, whose sum of squares
+OpenBLAS kernels read as nan or inf, run again in a child process with
+every dispatched SIMD feature this CPU has disabled
+(``NPY_DISABLE_CPU_FEATURES``) and OpenBLAS pinned to its Prescott kernels
+(``OPENBLAS_CORETYPE``), so the published bytes and values do not depend on
 the CPU's vector extensions.  The variables act on the child only.
 """
 
@@ -50,7 +52,8 @@ def test_goldens_hold_without_dispatched_simd_features():
     result = run_child(
         ["-m", "pytest", "-q", "-p", "no:cacheprovider",
          str(TESTS / "test_golden_cli.py"), str(TESTS / "test_golden_sampling.py"),
-         str(TESTS / "test_sampling_properties.py"), str(TESTS / "test_state_properties.py")],
+         str(TESTS / "test_sampling_properties.py"), str(TESTS / "test_state_properties.py"),
+         str(TESTS / "test_states.py") + "::test_finite_amplitudes_whose_norm_overflows_are_accepted"],
         disabled,
     )
     assert result.returncode == 0, result.stdout[-4000:] + result.stderr[-4000:]

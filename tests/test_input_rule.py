@@ -17,14 +17,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qpigeon import output
 from qpigeon.amplitudes import (
     FinalStateLabel,
     amplitude_table,
     closed_form_probability,
     pair_matrix_element_closed,
 )
-from qpigeon.boxes import evolution_diagonal, same_box_diagonal, verify_identities
+from qpigeon.boxes import evolution_diagonal, same_box_diagonal
 from qpigeon.circuits import NoiseModel, histogram_json, sample_shots
 from qpigeon.gates import Circuit, Gate, export_qasm, pair_check_circuit
 from qpigeon.hiddenvars import ValueAssignment
@@ -57,7 +56,6 @@ NEVER = (True, False, "1", None, math.nan, math.inf, -math.inf, 10**400, Fractio
 REAL_TAKERS = {
     "NoiseModel readout_flip_prob": (NoiseModel, (-0.1, 1.0)),
     "Gate theta": (lambda v: Gate.rx(0, v), ()),
-    "verify_identities tolerance": (verify_identities, (0.0, -1.0)),
     "evolution_diagonal": (evolution_diagonal, (1e308, -1e308)),
     "evolution_closed_form": (evolution_closed_form, (1e308, -1e308)),
     # beyond about 1e5 the series overflows or loses unitarity
@@ -123,15 +121,11 @@ def test_checked_values_are_plain_floats_and_ints():
     assert type(Gate.rx(0, np.float32(1.0)).theta) is float
     assert type(Gate.rx(0, 1).theta) is float
     assert type(NoiseModel(np.float32(0.25)).readout_flip_prob) is float
-    assert type(verify_identities(np.float64(1e-12)).tolerance) is float
     assert {type(s) for s in FinalStateLabel(np.array([1, -1, 1])).signs} == {int}
     assert {type(v) for v in vars(ValueAssignment(*np.array([1, 1, 1, 1]))).values()} == {int}
 
 
 def test_numpy_inputs_give_the_documents_of_python_values():
-    tolerance = np.float32(1e-12)
-    document = output.json_text(verify_identities(tolerance).to_dict())
-    assert document == output.json_text(verify_identities(float(tolerance)).to_dict())
     noisy = sample_shots(pair_check_circuit(), 100, 5, NoiseModel(np.float32(0.25)))
     assert histogram_json(noisy) == histogram_json(sample_shots(pair_check_circuit(), 100, 5, NoiseModel(0.25)))
     assert Gate.rx(0, np.float32(1.0)) == Gate.rx(0, 1.0)

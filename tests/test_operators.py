@@ -61,10 +61,10 @@ def test_verify_identities_passes():
 
 
 def test_verify_identities_report_round_trips_to_dict():
-    report = verify_identities(tolerance=1e-10)
+    report = verify_identities()
     data = report.to_dict()
     assert data["passed"] is True
-    assert data["tolerance"] == 1e-10
+    assert data["tolerance"] == 1e-12
     assert set(data["checks"]) == set(report.checks)
 
 
