@@ -22,9 +22,10 @@ pieces of at most CHUNK shots.  Outcomes come from raw 64-bit words through
 a guide table (Chen and Asau, 1974), with an integer binary search only
 where a bucket holds a CDF step; without noise the other words are only
 counted per bucket.  Readout flips compare raw words against an exact
-integer bound.  Both threads add into one tally under a lock, so memory
-stays O(CHUNK) plus one count per outcome, and the counts do not depend on
-the order in which the threads add them.
+integer bound.  Both threads add into one tally under a lock, one count
+per pattern of the measured bits with or without noise, so memory stays
+O(CHUNK) plus that tally, and the counts do not depend on the order in
+which the threads add them.
 """
 
 import math
@@ -176,31 +177,25 @@ def _guide_table(cdf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return steps, guide
 
 
-def _draw_outcomes(steps: np.ndarray, guide: np.ndarray, raw: np.ndarray) -> np.ndarray:
-    """Exactly ``searchsorted(cdf, (raw >> 11) * 2**-53, "right")``, through the guide table (Chen and Asau, 1974).
-
-    ``steps`` and ``guide`` come from ``_guide_table(cdf)``.  The top log2(G)
-    bits of a word are ``floor(u * G)``, its bucket, so a word's guide entry
-    is its outcome unless the entry is ``len(steps)``: only the words in
-    buckets that hold a step, at most len(steps) / G <= 1/4 of the
-    probability, get a binary search, an exact one over the integer steps.
-    """
-    picks = guide[(raw >> (65 - len(guide).bit_length())).view(np.int64)]
-    misses = np.flatnonzero(picks == len(steps))
-    picks[misses] = np.searchsorted(steps, raw[misses] >> 11, side="right")
-    return picks
-
-
 def _piece_outcomes(steps: np.ndarray, guide: np.ndarray, raw: np.ndarray, stepped: np.ndarray | None) -> tuple[np.ndarray | None, np.ndarray]:
     """A piece's outcome words as (None, each word's outcome), or with ``stepped`` as (count per bucket, outcomes).
 
-    ``stepped`` marks the buckets whose guide entry is ``len(steps)``.  Only
-    the words in them get an outcome, by the exact integer search; every
-    word of another bucket has its guide entry as outcome.
+    ``steps`` and ``guide`` come from ``_guide_table(cdf)``, and a word's
+    outcome is exactly ``searchsorted(cdf, (raw >> 11) * 2**-53, "right")``,
+    through the guide table (Chen and Asau, 1974).  The top log2(G) bits of
+    a word are ``floor(u * G)``, its bucket, so a word's guide entry is its
+    outcome unless the entry is ``len(steps)``: only the words in buckets
+    that hold a step, at most len(steps) / G <= 1/4 of the probability, get
+    a binary search, an exact one over the integer steps.  ``stepped`` marks
+    those buckets; with it, only the words in them get an outcome, and every
+    other word is only counted in its bucket.
     """
-    if stepped is None:
-        return None, _draw_outcomes(steps, guide, raw)
     top = (raw >> (65 - len(guide).bit_length())).view(np.int64)
+    if stepped is None:
+        picks = guide[top]
+        misses = np.flatnonzero(picks == len(steps))
+        picks[misses] = np.searchsorted(steps, raw[misses] >> 11, side="right")
+        return None, picks
     words = raw[stepped[top]] if stepped.any() else raw[:0]
     return np.bincount(top, minlength=len(guide)), np.searchsorted(steps, words >> 11, side="right")
 
@@ -249,14 +244,16 @@ def sample_shots(circuit: Circuit, shots: int, seed: int, noise: NoiseModel | No
     top bits, with an exact integer search only in buckets that hold a CDF
     step, and a flip is the exact integer test ``raw < ceil(p * 2**53) << 11``,
     which holds exactly when the uniform is below p.  Each piece's counts
-    join one tally under a lock: per support outcome without noise, per
-    measured-bit pattern (at most 2**24) with it.  Without noise, and with
-    at most CHUNK guide buckets, unsearched words are counted per bucket
-    instead, and each bucket joins its outcome after the last piece.
-    Integer sums commute, so the schedule does not change the counts, and
-    memory is O(CHUNK) plus the tally.  Same
-    (circuit, shots, seed, noise) gives a byte-identical histogram
-    everywhere.  ``shots`` >= 1 and 0 <= ``seed`` < 2**64 are integers, not bools.
+    join one tally under a lock, one count per measured-bit pattern (at
+    most 2**24, no more than the marginal the exact distribution builds),
+    with or without noise; noise only XORs the flips into a piece's
+    patterns first.  Without noise, and with at most CHUNK guide buckets,
+    unsearched words are counted per bucket instead, and each bucket joins
+    its outcome's pattern after the last piece.  Integer sums commute, so
+    the schedule does not change the counts, and memory is O(CHUNK) plus
+    the tally.  Same (circuit, shots, seed, noise) gives a byte-identical
+    histogram everywhere.  ``shots`` >= 1 and 0 <= ``seed`` < 2**64 are
+    integers, not bools.
     """
     # numpy integers pass, but the histogram holds Python ints, which JSON can write
     shots = _check_index(shots, "shots", 1)
@@ -268,9 +265,9 @@ def sample_shots(circuit: Circuit, shots: int, seed: int, noise: NoiseModel | No
     k = len(cbits)
     if noise is not None:
         limit = _flip_limit(noise.readout_flip_prob)
-    # noiseless: the count of each support index; noisy: the count of each pattern
-    tally = np.zeros(len(patterns) if noise is None else 1 << k, dtype=np.int64)
-    # noiseless with at most CHUNK buckets: a per-bucket bincount costs no more than the piece
+    tally = np.zeros(1 << k, dtype=np.int64)
+    # noiseless (a noisy run needs each shot's outcome) with at most CHUNK
+    # buckets: a per-bucket bincount costs no more than the piece
     stepped = guide == len(steps) if noise is None and len(guide) <= CHUNK else None
     buckets = None if stepped is None else np.zeros(len(guide), dtype=np.int64)
     lock = threading.Lock()
@@ -282,18 +279,14 @@ def sample_shots(circuit: Circuit, shots: int, seed: int, noise: NoiseModel | No
         for first in range(start, stop, CHUNK):
             size = min(CHUNK, stop - first)
             counted, drawn = _piece_outcomes(steps, guide, outcomes.random_raw(size), stepped)
-            if noise is None:
-                counts = np.bincount(drawn, minlength=len(patterns))
-                with lock:
-                    np.add(tally, counts, out=tally)
-                    if counted is not None:
-                        np.add(buckets, counted, out=buckets)
-                continue
-            hits = np.flatnonzero(flips.random_raw(size * k) < limit)
             codes = patterns[drawn]
-            np.bitwise_xor.at(codes, hits // k, 1 << (hits % k))
+            if noise is not None:
+                hits = np.flatnonzero(flips.random_raw(size * k) < limit)
+                np.bitwise_xor.at(codes, hits // k, 1 << (hits % k))
             with lock:
                 np.add.at(tally, codes, 1)
+                if counted is not None:
+                    np.add(buckets, counted, out=buckets)
 
     if shots > CHUNK:
         # imported here: runs of CHUNK shots or fewer never start the helper
@@ -306,9 +299,9 @@ def sample_shots(circuit: Circuit, shots: int, seed: int, noise: NoiseModel | No
     else:
         work(0, shots)
     if stepped is not None:
-        np.add.at(tally, guide[~stepped], buckets[~stepped])
+        np.add.at(tally, patterns[guide[~stepped]], buckets[~stepped])
     seen = np.flatnonzero(tally)
-    keys = _bitstrings(patterns[seen] if noise is None else seen, cbits, circuit.n_cbits)
+    keys = _bitstrings(seen, cbits, circuit.n_cbits)
     return ShotHistogram(counts=dict(zip(keys, tally[seen].tolist())), shots=shots, seed=seed, noise=noise)
 
 

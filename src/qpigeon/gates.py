@@ -59,7 +59,9 @@ def _check_real(value, name: str, low: float = -math.inf, high: float = math.inf
     with contextlib.suppress(OverflowError):  # float() of an int or a Fraction beyond the float range
         if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(real := float(value)) and low <= real <= high:
             return real
-    raise ValueError(f"{name} must be a finite real number in [{low!r}, {high!r}], got {value!r}")
+    # no interval when unbounded: [-inf, inf] would hold the infinities refused
+    interval = "" if (low, high) == (-math.inf, math.inf) else f" in [{low!r}, {high!r}]"
+    raise ValueError(f"{name} must be a finite real number{interval}, got {value!r}")
 
 
 def _check_signs(signs) -> tuple[int, ...]:

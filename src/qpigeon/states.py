@@ -43,15 +43,6 @@ MAX_QUBITS = 24
 _PASS_PAIRS = 1 << 14
 
 _SQRT_HALF = math.sqrt(0.5)
-_H_MATRIX = np.array([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]], dtype=complex)
-_X_MATRIX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
-
-def _rx_matrix(theta: float) -> np.ndarray:
-    # exp(-i*theta*sigma_x/2); theta = pi/2 maps the circular basis onto {|0>, |1>}
-    c = math.cos(theta / 2.0)
-    s = math.sin(theta / 2.0)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
 
 
 def _check_qubit_count(n_qubits: int) -> int:
@@ -148,12 +139,16 @@ def plus_i_state(signs: tuple[int, ...]) -> StateVector:
     return StateVector(n, amps)
 
 
-def _matrix(gate: Gate) -> np.ndarray:
+def _coefficients(gate: Gate) -> tuple[complex, complex, complex, complex]:
+    """The entries (m00, m01, m10, m11) of a single-qubit gate's 2x2 matrix."""
     if gate.kind == H:
-        return _H_MATRIX
+        return complex(_SQRT_HALF), complex(_SQRT_HALF), complex(_SQRT_HALF), complex(-_SQRT_HALF)
     if gate.kind == X:
-        return _X_MATRIX
-    return _rx_matrix(gate.theta)
+        return 0j, 1 + 0j, 1 + 0j, 0j
+    # exp(-i*theta*sigma_x/2); theta = pi/2 maps the circular basis onto {|0>, |1>}
+    c = math.cos(gate.theta / 2.0)
+    s = math.sin(gate.theta / 2.0)
+    return complex(c), -1j * s, -1j * s, complex(c)
 
 
 def _pairs(amps: np.ndarray, n: int, gate: Gate) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -191,7 +186,7 @@ def _apply(src: np.ndarray, dst: np.ndarray, gate: Gate, n: int, scratch: np.nda
     size = len(scratch) // 2
     # on qubit 0 the swap copies rows of one amplitude and costs more than it saves
     if gate.kind != CX and 0 < gate.qubit and 2 << gate.qubit <= size // 2:
-        m00, m01, m10, m11 = _matrix(gate).ravel()
+        m00, m01, m10, m11 = _coefficients(gate)
         # H, X and RX are symmetric, so m01 * swapped is m01*x1 and m10*x0 at once
         assert m01 == m10
         swapped, coef = scratch[:size].reshape(-1, 2, 1 << gate.qubit), scratch[size:]
@@ -218,7 +213,7 @@ def _apply(src: np.ndarray, dst: np.ndarray, gate: Gate, n: int, scratch: np.nda
     t0 = scratch[: stack * rows * cols].reshape(stack, rows, cols)
     t1 = scratch[size : size + stack * rows * cols].reshape(stack, rows, cols)
     if idle is None:
-        m00, m01, m10, m11 = _matrix(gate).ravel()
+        m00, m01, m10, m11 = _coefficients(gate)
     for i in range(0, highs, stack):
         for j in range(0, mids, rows):
             for k in range(0, lows, cols):

@@ -92,8 +92,17 @@ def test_every_real_number_is_finite_and_in_range(take, out_of_range):
     # 2**-10 is exact in float32, so all three calls get one value
     assert take(np.float32(2**-10)) == take(np.float64(2**-10)) == take(2**-10)
     for bad in (*NEVER, *out_of_range):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as refused:
             take(bad)
+        # an unbounded taker names no interval, which would hold the infinities it refuses
+        assert "inf]" not in str(refused.value)
+
+
+def test_only_a_bounded_real_number_names_an_interval():
+    with pytest.raises(ValueError, match=r"^epsilon_t must be a finite real number, got nan$"):
+        amplitude_table(math.nan)
+    with pytest.raises(ValueError, match=r"^readout_flip_prob must be a finite real number in \[0\.0, 0\.9999999999999999\], got 1\.0$"):
+        NoiseModel(1.0)
 
 
 @pytest.mark.parametrize(("take", "out_of_range"), INTEGER_VALUE_TAKERS.values(), ids=INTEGER_VALUE_TAKERS.keys())

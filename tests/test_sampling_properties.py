@@ -18,8 +18,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qpigeon.circuits import (CHUNK, NoiseModel, _draw_outcomes, _flip_limit, _guide_table, _philox, _piece_outcomes,
-                              sample_shots, simulate_ideal)
+from qpigeon.circuits import CHUNK, NoiseModel, _flip_limit, _guide_table, _philox, _piece_outcomes, sample_shots, simulate_ideal
 from qpigeon.gates import MEASURE, Circuit, Gate, all_same_check_circuit
 
 
@@ -169,7 +168,7 @@ def test_guide_search_equals_binary_search(cdf, seed):
     assert len(guide) >= 4 * len(cdf) and len(guide) & (len(guide) - 1) == 0
     raw = np.concatenate([bucket_and_step_words(cdf, len(guide)), np.random.Philox(key=seed).random_raw(4096)])
     uniforms = (raw >> np.uint64(11)) * 2.0**-53
-    assert np.array_equal(_draw_outcomes(steps, guide, raw), np.searchsorted(cdf, uniforms, side="right"))
+    assert np.array_equal(_piece_outcomes(steps, guide, raw, None)[1], np.searchsorted(cdf, uniforms, side="right"))
 
 
 class Words:
@@ -332,14 +331,19 @@ def test_only_runs_of_more_than_chunk_shots_start_the_helper(monkeypatch):
 
 def test_concurrent_calls_keep_every_count():
     # more sampling threads than cores, switching often: a lost update to a
-    # shared tally would change some call's counts
-    circuit, shots = all_same_check_circuit(), 4 * CHUNK + 3
-    calls = [(seed, noise) for seed in range(3) for noise in (None, NoiseModel(0.02))]
-    expected = [sample_shots(circuit, shots, seed, noise).counts for seed, noise in calls]
+    # shared tally would change some call's counts.  No step of the
+    # all-same circuit lies inside a guide bucket, so its noiseless pieces
+    # add no outcome codes, only bucket counts; the RX circuit's do both
+    stepped = Circuit(2, 2, (Gate.rx(0, 1.0), Gate.rx(1, 2.0), Gate.measure(0, 0), Gate.measure(1, 1)))
+    steps, guide = _guide_table(normalised_cdf(np.array(list(simulate_ideal(stepped).values()))))
+    assert (guide == len(steps)).any()
+    calls = [(circuit, 4 * CHUNK + 3, seed, noise) for circuit in (all_same_check_circuit(), stepped) for seed in range(3)
+             for noise in (None, NoiseModel(0.02))]
+    expected = [sample_shots(*call).counts for call in calls]
     results = [None] * len(calls)
 
     def run(i):
-        results[i] = sample_shots(circuit, shots, *calls[i]).counts
+        results[i] = sample_shots(*calls[i]).counts
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
