@@ -36,11 +36,10 @@ _HOMES = {
     "ValueAssignment": "hiddenvars",
     "all_labels": "amplitudes",
     "all_same_check_circuit": "gates",
-    "all_same_matrix_element": "amplitudes",
-    "all_same_matrix_element_closed": "amplitudes",
     "amplitude_table": "amplitudes",
     "apply_gate": "states",
     "basis_state": "states",
+    "box_element": "boxes",
     "box_placement_values": "hiddenvars",
     "closed_form_probability": "amplitudes",
     "enumerate_assignments": "hiddenvars",
@@ -54,9 +53,6 @@ _HOMES = {
     "histogram_json": "circuits",
     "inner_product": "states",
     "pair_check_circuit": "gates",
-    "pair_count_matrix_element": "amplitudes",
-    "pair_matrix_element": "amplitudes",
-    "pair_matrix_element_closed": "amplitudes",
     "parse_qasm": "gates",
     "pigeonhole_violation_exists": "hiddenvars",
     "plus_i_state": "states",

@@ -8,16 +8,20 @@ rows are the eight classical placements: the joint spectrum of the commuting
 projectors is the valid set that hiddenvars enumerates.  The diagonals derive
 from the table, and each row from where the pigeons sit.  relation_residuals
 writes every operator relation once: verify_identities reads them on the rows,
-hiddenvars on candidate values.
+hiddenvars on candidate values.  box_element gives any integer diagonal's
+matrix element from the uniform state to a circular readout state, exactly.
 This module needs only the standard library.
 """
 
 import cmath
 import itertools
 import math
+import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .gates import _check_index, _check_real
+from .gates import _check_index, _check_real, _check_signs
 
 N_PIGEONS = 3
 PAIRS = ((0, 1), (0, 2), (1, 2))
@@ -50,6 +54,24 @@ def _check_pair(a: int, b: int) -> tuple[int, int]:
 def same_box_diagonal(a: int, b: int) -> tuple[complex, ...]:
     """Diagonal of the same-box projector of pigeons a and b: 1 where they share a box."""
     return _SAME_BOX[_check_pair(a, b)]
+
+
+def box_element(signs, diagonal) -> tuple[Fraction, Fraction]:
+    """<signs| D |uniform> as its exact (real, imaginary) parts, for a box-basis diagonal D of eight integers.
+
+    D is a BOX_VALUES column or a sum of columns.  A FinalStateLabel's signs (s0, s1, s2) give amplitude
+    prod_{k: z_k = 1} (i * s_k) / sqrt(8) on |z> and the uniform state 1/sqrt(8), so the element is
+    (1/8) sum_z d_z prod_{k: z_k = 1} (-i * s_k).
+    """
+    signs = _check_signs(signs, N_PIGEONS)
+    entries = tuple(diagonal) if isinstance(diagonal, Iterable) else ()
+    if len(entries) != len(BOX_VALUES) or any(isinstance(d, bool) or not isinstance(d, numbers.Integral) for d in entries):
+        raise ValueError(f"diagonal must be {len(BOX_VALUES)} integers, got {diagonal!r}")
+    parts = [0, 0, 0, 0]  # the sum's parts along (-i)**m = 1, -i, -1, i, by the number m of pigeons in box 1
+    for z, d in enumerate(entries):
+        ones = [k for k in range(N_PIGEONS) if z >> k & 1]
+        parts[len(ones)] += int(d) * math.prod(signs[k] for k in ones)
+    return Fraction(parts[0] - parts[2], 8), Fraction(parts[3] - parts[1], 8)
 
 
 def relation_residuals(row: tuple[int, int, int, int]) -> dict[str, int]:

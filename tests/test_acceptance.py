@@ -7,21 +7,22 @@ verification transcript.
 
 import math
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from qpigeon.amplitudes import (
-    ALL_SAME_SIGN,
-    FinalStateLabel,
-    all_labels,
-    all_same_matrix_element,
-    amplitude_table,
-    first_order_derivative,
-    pair_count_matrix_element,
-    pair_matrix_element,
+from qpigeon.amplitudes import ALL_SAME_SIGN, FinalStateLabel, all_labels, amplitude_table, first_order_derivative
+from qpigeon.boxes import (
+    ALL_SAME_DIAGONAL,
+    BOX_VALUES,
+    ONE_PAIR_DIAGONAL,
+    PAIR_COUNT_DIAGONAL,
+    PAIRS,
+    box_element,
+    same_box_diagonal,
+    verify_identities,
 )
-from qpigeon.boxes import ALL_SAME_DIAGONAL, ONE_PAIR_DIAGONAL, PAIR_COUNT_DIAGONAL, PAIRS, same_box_diagonal, verify_identities
 from qpigeon.circuits import histogram_json, sample_shots, simulate_ideal
 from qpigeon.gates import all_same_check_circuit, export_qasm, pair_check_circuit
 from qpigeon.hiddenvars import (
@@ -69,24 +70,34 @@ def test_criterion_02_pair_count_spectrum():
               f"eigvalsh dev {oracle_dev:.2e})", dev <= 1e-10 and oracle_dev <= 1e-10)
 
 
+# the BOX_VALUES columns of the three pairs' same-box values, the all-same column and the pair count
+SAME_COLUMNS = [[row[col] for row in BOX_VALUES] for col in range(3)]
+ALL_SAME_COLUMN = [row[3] for row in BOX_VALUES]
+PAIR_COUNT_COLUMN = [sum(row[:3]) for row in BOX_VALUES]
+
+
+def exact_prob(label, diagonal):
+    """|<label| D |uniform>|^2 as a Fraction, from the exact element."""
+    real, imag = box_element(label.signs, diagonal)
+    return real**2 + imag**2
+
+
 def test_criterion_03_vanishing_amplitude():
     label = FinalStateLabel((1, 1, 1))
-    pair_mags = [abs(pair_matrix_element(label, a, b)) for a, b in PAIRS]
-    count_prob = abs(pair_count_matrix_element(label)) ** 2
-    ok = max(pair_mags) <= 1e-12 and count_prob <= 1e-24
-    report(3, f"all-plus transition amplitudes vanish (max {max(pair_mags):.2e}, prob {count_prob:.2e})", ok)
+    pair_probs = [exact_prob(label, column) for column in SAME_COLUMNS]
+    count_prob = exact_prob(label, PAIR_COUNT_COLUMN)
+    ok = max(pair_probs) == 0 and count_prob == 0
+    report(3, f"all-plus transition amplitudes vanish exactly (max |element|^2 {max(pair_probs)}, prob {count_prob})", ok)
 
 
 def test_criterion_04_matrix_element_magnitudes():
-    inv_sqrt8 = 1.0 / math.sqrt(8.0)
-    inv_sqrt32 = 1.0 / math.sqrt(32.0)
-    pair_mags = [abs(pair_matrix_element(lab, a, b)) for lab in all_labels() for a, b in PAIRS]
-    assert len(pair_mags) == 24
-    pair_dev = max(min(mag, abs(mag - inv_sqrt8)) for mag in pair_mags)
-    all_same_dev = max(abs(abs(all_same_matrix_element(lab)) - inv_sqrt32) for lab in all_labels())
-    ok = pair_dev <= 1e-12 and all_same_dev <= 1e-12
-    report(4, f"24 pair elements at 0 or 1/sqrt(8), 8 all-same at 1/sqrt(32) "
-              f"(devs {pair_dev:.2e}, {all_same_dev:.2e})", ok)
+    pair_probs = [exact_prob(lab, column) for lab in all_labels() for column in SAME_COLUMNS]
+    assert len(pair_probs) == 24
+    all_same_probs = {exact_prob(lab, ALL_SAME_COLUMN) for lab in all_labels()}
+    ok = set(pair_probs) == {0, Fraction(1, 8)} and all_same_probs == {Fraction(1, 32)}
+    shown = [", ".join(str(p) for p in sorted(probs)) for probs in (set(pair_probs), all_same_probs)]
+    report(4, f"24 pair elements at exactly 0 or 1/sqrt(8), 8 all-same at exactly 1/sqrt(32) "
+              f"(|element|^2 in {{{shown[0]}}}, {{{shown[1]}}})", ok)
 
 
 def test_criterion_05_closed_form_probabilities():

@@ -8,22 +8,34 @@ import pytest
 from qpigeon.amplitudes import (
     ALL_SAME_SIGN,
     ONE_MINORITY_SIGN,
+    PHASE_CONVENTION,
     FinalStateLabel,
+    _ket,
+    _matrix_element,
     all_labels,
-    all_same_matrix_element,
-    all_same_matrix_element_closed,
     amplitude_table,
     closed_form_probability,
     first_order_derivative,
-    pair_count_matrix_element,
-    pair_matrix_element,
-    pair_matrix_element_closed,
 )
-from qpigeon.boxes import BOX_VALUES
+from qpigeon.boxes import ALL_SAME_DIAGONAL, BOX_VALUES, PAIR_COUNT_DIAGONAL, PAIRS, box_element, same_box_diagonal
 
-PAIRS = ((0, 1), (0, 2), (1, 2))
 INV_SQRT8 = 1.0 / math.sqrt(8.0)
-INV_SQRT32 = 1.0 / math.sqrt(32.0)
+
+# the BOX_VALUES column of each pair's same-box value, the all-same column and the pair count
+SAME = {(0, 1): [row[0] for row in BOX_VALUES], (1, 2): [row[1] for row in BOX_VALUES], (0, 2): [row[2] for row in BOX_VALUES]}
+ALL_SAME = [row[3] for row in BOX_VALUES]
+PAIR_COUNT = [sum(row[:3]) for row in BOX_VALUES]
+
+
+def element(label, diagonal) -> complex:
+    """box_element of a label as the complex number it rounds to."""
+    real, imag = box_element(label.signs, diagonal)
+    return complex(real, imag)
+
+
+def prob(label, diagonal) -> Fraction:
+    real, imag = box_element(label.signs, diagonal)
+    return real**2 + imag**2
 
 
 def test_label_validation():
@@ -58,79 +70,88 @@ def test_pair_element_vanishes_when_pair_signs_agree():
     for label in all_labels():
         for a, b in PAIRS:
             if label.signs[a] == label.signs[b]:
-                assert abs(pair_matrix_element(label, a, b)) <= 1e-12
-                assert pair_matrix_element_closed(label, a, b) == 0j
+                assert box_element(label.signs, SAME[a, b]) == (0, 0)
 
 
 def test_pair_element_magnitudes_zero_or_inv_sqrt8():
     for label in all_labels():
         for a, b in PAIRS:
-            mag = abs(pair_matrix_element(label, a, b))
-            assert min(abs(mag - 0.0), abs(mag - INV_SQRT8)) <= 1e-12
+            assert prob(label, SAME[a, b]) == (0 if label.signs[a] == label.signs[b] else Fraction(1, 8))
 
 
 def test_pair_element_phase_set_by_spectator_sign():
+    # PHASE_CONVENTION's pair rule, on all 24 pair elements
+    assert PHASE_CONVENTION.startswith("pair element phase exp(-i*s_c*pi/4) set by the spectator sign s_c when the pair signs differ")
     for label in all_labels():
         for a, b in PAIRS:
             if label.signs[a] == label.signs[b]:
+                assert element(label, SAME[a, b]) == 0j
                 continue
             spectator = 3 - a - b
             expected = cmath.exp(-1j * label.signs[spectator] * math.pi / 4.0) * INV_SQRT8
-            assert abs(pair_matrix_element(label, a, b) - expected) <= 1e-12
-            # exp(-i*s*pi/4)/sqrt(8) is exactly (1 - i*s)/4, and the closed form returns it exactly
-            assert pair_matrix_element_closed(label, a, b) == complex(0.25, -0.25 * label.signs[spectator])
+            assert abs(element(label, SAME[a, b]) - expected) <= 1e-16
+            # exp(-i*s*pi/4)/sqrt(8) is exactly (1 - i*s)/4
+            assert box_element(label.signs, SAME[a, b]) == (Fraction(1, 4), Fraction(-label.signs[spectator], 4))
+            assert element(label, SAME[a, b]) == complex(1, -label.signs[spectator]) / 4
 
 
 def test_pair_element_specific_value():
     # signs (s0, s1, s2) = (-1, +1, +1), pair (0, 1): spectator is +, phase -pi/4
     label = FinalStateLabel((-1, 1, 1))
     expected = cmath.exp(-1j * math.pi / 4.0) * INV_SQRT8
-    assert abs(pair_matrix_element(label, 0, 1) - expected) <= 1e-12
+    assert abs(element(label, SAME[0, 1]) - expected) <= 1e-16
     # which is (1 - i)/4
-    assert abs(expected - (0.25 - 0.25j)) <= 1e-15
+    assert box_element(label.signs, SAME[0, 1]) == (Fraction(1, 4), Fraction(-1, 4))
 
 
 def test_pair_element_validation():
-    label = FinalStateLabel((1, 1, 1))
-    with pytest.raises(ValueError):
-        pair_matrix_element(label, 0, 0)
-    with pytest.raises(ValueError):
-        pair_matrix_element_closed(label, 0, 3)
+    # the exact element takes the integer columns, never the complex diagonals of the float route
+    for diagonal in (same_box_diagonal(0, 1), ALL_SAME_DIAGONAL, PAIR_COUNT_DIAGONAL):
+        with pytest.raises(ValueError, match="diagonal"):
+            box_element((1, 1, 1), diagonal)
 
 
 def test_all_same_element_values():
-    plus = FinalStateLabel((1, 1, 1))
-    minus = FinalStateLabel((-1, -1, -1))
-    assert abs(all_same_matrix_element(plus) - (0.125 + 0.125j)) <= 1e-12
-    assert abs(all_same_matrix_element(minus) - (0.125 - 0.125j)) <= 1e-12
+    # PHASE_CONVENTION's all-same rule, on all 8 all-same elements
+    assert PHASE_CONVENTION.endswith("all-same element phase exp(+i*pi/4) for an even number of minus signs, exp(-i*pi/4) for odd")
+    assert box_element((1, 1, 1), ALL_SAME) == (Fraction(1, 8), Fraction(1, 8))
+    assert box_element((-1, -1, -1), ALL_SAME) == (Fraction(1, 8), Fraction(-1, 8))
     for label in all_labels():
-        numeric = all_same_matrix_element(label)
-        assert abs(abs(numeric) - INV_SQRT32) <= 1e-12
-        assert abs(numeric - all_same_matrix_element_closed(label)) <= 1e-12
+        assert prob(label, ALL_SAME) == Fraction(1, 32)
         # exp(+-i*pi/4)/sqrt(32) is exactly (1 +- i)/8: + for an even number of minus signs
         parity = (-1) ** label.signs.count(-1)
-        assert all_same_matrix_element_closed(label) == complex(0.125, 0.125 * parity)
+        assert box_element(label.signs, ALL_SAME) == (Fraction(1, 8), Fraction(parity, 8))
+        assert element(label, ALL_SAME) == complex(1, parity) / 8
+        assert abs(element(label, ALL_SAME) - cmath.exp(1j * parity * math.pi / 4.0) / math.sqrt(32.0)) <= 1e-16
 
 
 def test_pair_count_element_is_sum_of_pair_elements():
     for label in all_labels():
-        total = sum(pair_matrix_element(label, a, b) for a, b in PAIRS)
-        assert abs(pair_count_matrix_element(label) - total) <= 1e-12
+        parts = [box_element(label.signs, SAME[pair]) for pair in PAIRS]
+        assert box_element(label.signs, PAIR_COUNT) == (sum(p[0] for p in parts), sum(p[1] for p in parts))
 
 
 def test_pair_count_element_vanishes_for_all_same_labels():
-    assert abs(pair_count_matrix_element(FinalStateLabel((1, 1, 1)))) <= 1e-12
-    assert abs(pair_count_matrix_element(FinalStateLabel((-1, -1, -1)))) <= 1e-12
+    assert box_element((1, 1, 1), PAIR_COUNT) == (0, 0)
+    assert box_element((-1, -1, -1), PAIR_COUNT) == (0, 0)
 
 
 def test_conjugation_symmetry():
     for label in all_labels():
-        flipped = FinalStateLabel(tuple(-s for s in label.signs))
-        for a, b in PAIRS:
-            lhs = pair_matrix_element(flipped, a, b)
-            rhs = pair_matrix_element(label, a, b).conjugate()
-            assert abs(lhs - rhs) <= 1e-12
-        assert abs(all_same_matrix_element(flipped) - all_same_matrix_element(label).conjugate()) <= 1e-12
+        flipped = tuple(-s for s in label.signs)
+        for diagonal in (*SAME.values(), ALL_SAME, PAIR_COUNT):
+            real, imag = box_element(label.signs, diagonal)
+            assert box_element(flipped, diagonal) == (real, -imag)
+
+
+def test_float_route_is_within_rounding_of_the_exact_element():
+    # the route amplitude_table takes, on the diagonals it was checked with;
+    # the largest gap measured is 3.14e-16
+    routes = [(same_box_diagonal(*pair), SAME[pair]) for pair in PAIRS]
+    routes += [(ALL_SAME_DIAGONAL, ALL_SAME), (PAIR_COUNT_DIAGONAL, PAIR_COUNT)]
+    for label in all_labels():
+        for floats, integers in routes:
+            assert abs(_matrix_element(label, _ket(floats)) - element(label, integers)) <= 4e-16
 
 
 def test_transition_probability_at_zero():
@@ -176,34 +197,16 @@ def test_closed_and_numeric_agree_on_grid():
             assert abs(rec.prob_closed - rec.prob_numeric) <= 1e-10
 
 
-def _mul(x, y):
-    """Product of two complex numbers held as (real, imaginary) Fraction pairs."""
-    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
-def _overlap(label, diagonal):
-    """<label| D |uniform> = (1/8) sum_z d_z prod_{k: z_k = 1} (-i * s_k), exactly."""
-    total = (Fraction(0), Fraction(0))
-    for z, d in enumerate(diagonal):
-        term = (Fraction(d, 8), Fraction(0))
-        for k, s in enumerate(label.signs):
-            if z >> k & 1:
-                term = _mul(term, (Fraction(0), Fraction(-s)))
-        total = (total[0] + term[0], total[1] + term[1])
-    return total
-
-
 def test_class_formulas_follow_from_the_table_exactly():
     # U = exp(-i*et) * (1 + (w - 1) * P_all) with w = exp(-2i*et), so the
     # probability |x + w*b|^2, x = <l|u> - b and b = <l|P_all|u>, is
     # c0 + c1*cos(2*et) + c2*sin(2*et) with c0 = |x|^2 + |b|^2 and c1 + i*c2 = 2*conj(x)*b
     for label in all_labels():
-        u = _overlap(label, [1] * 8)
-        b = _overlap(label, [row[3] for row in BOX_VALUES])
+        u = box_element(label.signs, [1] * 8)
+        b = box_element(label.signs, ALL_SAME)
         x = (u[0] - b[0], u[1] - b[1])
         c0 = x[0] ** 2 + x[1] ** 2 + b[0] ** 2 + b[1] ** 2
-        cross = _mul((x[0], -x[1]), b)
-        coefficients = (c0, 2 * cross[0], 2 * cross[1])
+        coefficients = (c0, 2 * (x[0] * b[0] + x[1] * b[1]), 2 * (x[0] * b[1] - x[1] * b[0]))
         if label.outcome_class == ALL_SAME_SIGN:
             assert coefficients == (Fraction(5, 16), Fraction(-3, 16), 0)
         else:

@@ -1,4 +1,7 @@
-"""The box table, the diagonals derived from it, and its exact identity check."""
+"""The box table, the diagonals derived from it, its exact identity check, and its exact matrix elements."""
+
+import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +12,7 @@ from qpigeon.boxes import (
     ONE_PAIR_DIAGONAL,
     PAIR_COUNT_DIAGONAL,
     PAIRS,
+    box_element,
     same_box_diagonal,
     verify_identities,
 )
@@ -77,3 +81,35 @@ def test_a_wrong_row_fails_the_identities_and_the_placement_match(monkeypatch):
     assert report.checks["pair_count_spectrum"] == 1.0
     assert report.checks["product_same01_same02_is_all_same"] == 0.0
     assert enumeration_report()["classical_placements_match_valid_set"] is False
+
+
+def weak_value(signs, diagonal):
+    """W_D = <signs| D |u> / <signs| u> as (real, imaginary) Fractions; <signs| u> is never 0."""
+    (a, b), (c, d) = box_element(signs, diagonal), box_element(signs, [1] * 8)
+    norm = c * c + d * d
+    return (a * c + b * d) / norm, (b * c - a * d) / norm
+
+
+def test_weak_values_of_the_table_columns_are_real_and_count_the_pigeons():
+    # Aharonov et al.'s reading: on +++ and --- no pair is ever together, paid
+    # for by a negative all-same value, and the counting identity holds throughout
+    for signs in itertools.product((1, -1), repeat=3):
+        values = [weak_value(signs, [row[col] for row in BOX_VALUES]) for col in range(4)]
+        assert all(imag == 0 for _, imag in values)
+        *pairs, all_same = (real for real, _ in values)
+        if signs in ((1, 1, 1), (-1, -1, -1)):
+            assert pairs == [0, 0, 0]
+            assert all_same == Fraction(-1, 2)
+        else:
+            assert sorted(pairs) == [0, 1, 1]
+            assert all_same == Fraction(1, 2)
+        assert sum(pairs) - 2 * all_same == 1
+
+
+def test_abl_probability_of_a_pair_together_before_all_plus_is_zero():
+    # one pair measured alone between u and +++: P(same) = |<l|P|u>|^2 / (|<l|P|u>|^2 + |<l|1-P|u>|^2)
+    for col in range(3):
+        same, apart = ([int(row[col] == value) for row in BOX_VALUES] for value in (1, 0))
+        p_same, p_apart = (sum(part * part for part in box_element((1, 1, 1), diag)) for diag in (same, apart))
+        assert p_apart > 0
+        assert p_same / (p_same + p_apart) == 0

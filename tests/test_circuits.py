@@ -1,16 +1,18 @@
+import collections
 import json
 import math
 import os
 import re
 import stat
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qpigeon.amplitudes import FinalStateLabel, amplitude_table
-from qpigeon.boxes import same_box_diagonal
+from qpigeon.amplitudes import FinalStateLabel, all_labels, amplitude_table
+from qpigeon.boxes import BOX_VALUES, box_element, same_box_diagonal
 from qpigeon.circuits import (
     CHUNK,
     NoiseModel,
@@ -166,6 +168,38 @@ def test_all_same_check_ideal_distribution_is_uniform():
     for value in probs.values():
         assert abs(value - 1.0 / 32.0) <= 1e-12
     assert abs(sum(probs.values()) - 1.0) <= 1e-12
+
+
+def exact_joint_distribution(ancilla_columns):
+    """Each outcome's probability |<l| Pi_a |u>|^2 as a Fraction, keyed label.to_bits() | a << 3.
+
+    Ancilla 3 + j reads 1 minus the BOX_VALUES column ancilla_columns[j], so
+    Pi_a keeps the rows whose columns read 1 - a_j: the circuit measures the
+    table's columns jointly with the pigeons' circular readout.
+    """
+    distribution = {}
+    for label in all_labels():
+        for a in range(1 << len(ancilla_columns)):
+            keep = [int(all(1 - row[col] == a >> j & 1 for j, col in enumerate(ancilla_columns))) for row in BOX_VALUES]
+            real, imag = box_element(label.signs, keep)
+            distribution[label.to_bits() | a << 3] = real**2 + imag**2
+    return distribution
+
+
+# ancilla 3 folds pair (0, 1), column 0 of BOX_VALUES; ancilla 4 pair (1, 2), column 1
+@pytest.mark.parametrize(("builder", "ancilla_columns", "cells"), [
+    (pair_check_circuit, (0,), {Fraction(1, 8): 8, 0: 8}),
+    (all_same_check_circuit, (0, 1), {Fraction(1, 32): 32}),
+])
+def test_ideal_distributions_are_the_exact_joint_measurements_of_the_table(builder, ancilla_columns, cells):
+    exact = exact_joint_distribution(ancilla_columns)
+    assert collections.Counter(exact.values()) == cells
+    probs = simulate_ideal(builder())
+    assert set(probs) == {format(key, "05b") for key, value in exact.items() if value}
+    for key, value in exact.items():
+        if value:
+            # the largest gap measured is 2 ulp on both circuits
+            assert abs(probs[format(key, "05b")] - float(value)) <= 4 * math.ulp(float(value))
 
 
 def test_pigeon_marginal_matches_amplitude_table_at_zero_coupling():

@@ -77,11 +77,6 @@ calls = {
     "FinalStateLabel": lambda: (amp.FinalStateLabel.from_bits(5).to_bits(), str(label), label.outcome_class),
     "AmplitudeRecord": lambda: amp.AmplitudeRecord(label, 0.5, 0.1, 0.1, amp.ONE_MINORITY_SIGN),
     "all_labels": amp.all_labels,
-    "pair_matrix_element": lambda: amp.pair_matrix_element(label, 0, 1),
-    "pair_matrix_element_closed": lambda: amp.pair_matrix_element_closed(label, 0, 1),
-    "all_same_matrix_element": lambda: amp.all_same_matrix_element(label),
-    "all_same_matrix_element_closed": lambda: amp.all_same_matrix_element_closed(label),
-    "pair_count_matrix_element": lambda: amp.pair_count_matrix_element(label),
     "closed_form_probability": lambda: amp.closed_form_probability(label, 0.5),
     "amplitude_table": lambda: amp.amplitude_table(0.5),
     "first_order_derivative": amp.first_order_derivative,

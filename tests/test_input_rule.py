@@ -17,13 +17,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qpigeon.amplitudes import (
-    FinalStateLabel,
-    amplitude_table,
-    closed_form_probability,
-    pair_matrix_element_closed,
-)
-from qpigeon.boxes import evolution_diagonal, same_box_diagonal
+from qpigeon.amplitudes import FinalStateLabel, amplitude_table, closed_form_probability
+from qpigeon.boxes import BOX_VALUES, box_element, evolution_diagonal, same_box_diagonal
 from qpigeon.circuits import NoiseModel, histogram_json, sample_shots
 from qpigeon.gates import Circuit, Gate, export_qasm, pair_check_circuit
 from qpigeon.hiddenvars import ValueAssignment
@@ -31,6 +26,8 @@ from qpigeon.operators import evolution_closed_form, evolution_series
 from qpigeon.states import StateVector, basis_state, plus_i_state, plus_state
 
 LABEL = FinalStateLabel((1, -1, 1))
+# an integer box-basis diagonal: the all-same column
+ALL_SAME = [row[3] for row in BOX_VALUES]
 
 # each takes one index, count or seed, for which 1 is in range
 TAKERS = {
@@ -46,7 +43,6 @@ TAKERS = {
     "sample_shots seed": lambda v: sample_shots(pair_check_circuit(), 10, v),
     "FinalStateLabel.from_bits": FinalStateLabel.from_bits,
     "same_box_diagonal": lambda v: same_box_diagonal(0, v),
-    "pair_matrix_element_closed": lambda v: pair_matrix_element_closed(LABEL, 0, v),
 }
 
 # values no real number, sign or 0/1 value may take
@@ -68,6 +64,7 @@ REAL_TAKERS = {
 INTEGER_VALUE_TAKERS = {
     "FinalStateLabel sign": (lambda v: FinalStateLabel((1, v, -1)), (0, 2, -2)),
     "plus_i_state sign": (lambda v: plus_i_state((1, v)), (0, 2, -2)),
+    "box_element sign": (lambda v: box_element((1, v, -1), ALL_SAME), (0, 2, -2)),
     "ValueAssignment v01": (lambda v: ValueAssignment(v, 0, 0, 0), (-1, 2)),
     "ValueAssignment v12": (lambda v: ValueAssignment(0, v, 0, 0), (-1, 2)),
     "ValueAssignment v02": (lambda v: ValueAssignment(0, 0, v, 0), (-1, 2)),
@@ -76,7 +73,11 @@ INTEGER_VALUE_TAKERS = {
 
 
 # each takes a sequence of signs
-SIGN_SEQUENCE_TAKERS = {"FinalStateLabel": FinalStateLabel, "plus_i_state": plus_i_state}
+SIGN_SEQUENCE_TAKERS = {
+    "FinalStateLabel": FinalStateLabel,
+    "plus_i_state": plus_i_state,
+    "box_element": lambda signs: box_element(signs, ALL_SAME),
+}
 
 
 @pytest.mark.parametrize("take", TAKERS.values(), ids=TAKERS.keys())
@@ -118,6 +119,24 @@ def test_signs_that_are_not_a_sequence_raise_value_error(take):
     for bad in (5, None, 1.0, np.int64(1), np.array(1)):
         with pytest.raises(ValueError, match="signs"):
             take(bad)
+
+
+def test_a_label_has_three_signs():
+    for take in (FinalStateLabel, SIGN_SEQUENCE_TAKERS["box_element"]):
+        for bad in ((1, -1), (1, -1, 1, 1), ()):
+            with pytest.raises(ValueError, match=r"^signs must be a sequence of \+1 and -1 of length 3, got "):
+                take(bad)
+
+
+def test_a_box_diagonal_is_eight_integers():
+    assert box_element(LABEL.signs, np.array(ALL_SAME)) == box_element(LABEL.signs, ALL_SAME)
+    assert box_element(LABEL.signs, [np.int8(d) for d in ALL_SAME]) == box_element(LABEL.signs, ALL_SAME)
+    for bad in (True, False, 1.0, np.float64(1.0), Fraction(1), "1", None):
+        with pytest.raises(ValueError, match="^diagonal must be 8 integers"):
+            box_element(LABEL.signs, [bad, *ALL_SAME[1:]])
+    for bad in (ALL_SAME[:7], [*ALL_SAME, 0], [], None, 8, "10000001"):
+        with pytest.raises(ValueError, match="^diagonal must be 8 integers"):
+            box_element(LABEL.signs, bad)
 
 
 def test_checked_sizes_are_plain_ints():

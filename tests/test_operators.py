@@ -1,9 +1,19 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qpigeon.boxes import ALL_SAME_DIAGONAL, ONE_PAIR_DIAGONAL, PAIR_COUNT_DIAGONAL, PAIRS, same_box_diagonal, verify_identities
+from qpigeon.boxes import (
+    ALL_SAME_DIAGONAL,
+    BOX_VALUES,
+    ONE_PAIR_DIAGONAL,
+    PAIR_COUNT_DIAGONAL,
+    PAIRS,
+    box_element,
+    same_box_diagonal,
+    verify_identities,
+)
 from qpigeon.operators import LinearOperator, evolution_closed_form, evolution_series
 
 # the dense matrices of the box algebra, as test oracles: each a boxes diagonal on the diagonal
@@ -142,7 +152,7 @@ def test_evolution_rejects_non_finite():
 
 
 def test_diagonal_routes_build_no_dense_operator(monkeypatch):
-    from qpigeon.amplitudes import FinalStateLabel, amplitude_table, pair_count_matrix_element
+    from qpigeon.amplitudes import amplitude_table
 
     def refuse(self):
         raise AssertionError("a dense LinearOperator was built")
@@ -150,4 +160,4 @@ def test_diagonal_routes_build_no_dense_operator(monkeypatch):
     monkeypatch.setattr(LinearOperator, "__post_init__", refuse)
     assert verify_identities().passed
     assert len(amplitude_table(0.3)) == 8
-    pair_count_matrix_element(FinalStateLabel((1, -1, 1)))
+    assert box_element((1, -1, 1), [sum(row[:3]) for row in BOX_VALUES]) == (Fraction(1, 2), Fraction(-1, 2))
